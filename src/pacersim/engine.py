@@ -213,7 +213,8 @@ def run(scenario: Scenario) -> SimResult:
             seq_counter += 1
             pending.append((handoff, k, pkt))
             k += 1
-    pending.sort()
+    # Ties on (handoff, k) fall back to the wire seq, never to the packet.
+    pending.sort(key=lambda e: (e[0], e[1], e[2].seq))
     pending_idx = 0
     seq_of: dict = {}
     for handoff, k, pkt in pending:

@@ -52,8 +52,13 @@ def target_counter(clock: EphcClock, scheduled_time) -> int:
     counter (rather than only the mod-N slot) lets late packets be detected
     instead of silently slipping a full ring revolution.
     """
-    rel = Fraction(scheduled_time) - clock.offset
-    return int(rel // clock.cycle_period) if rel >= 0 else -1
+    offset, period = clock.offset, clock.cycle_period
+    if type(scheduled_time) is int and offset.denominator == 1 == period.denominator:
+        # Integral time and clock: the same floor division, without Fractions.
+        rel = scheduled_time - offset.numerator
+        return rel // period.numerator if rel >= 0 else -1
+    rel = Fraction(scheduled_time) - offset
+    return int(rel // period) if rel >= 0 else -1
 
 
 def _arm(ring: DmaRing, counter: int, pkt: OutboundPacket) -> int:
@@ -66,13 +71,17 @@ def _arm(ring: DmaRing, counter: int, pkt: OutboundPacket) -> int:
     d.seq = pkt.seq
     return counter
 
+
 def _scan_window(ring: DmaRing, traffic_class: int) -> int:
-    lo, hi = ring.insertion_window()
-    for c in range(lo, hi):
-        d = ring.descriptor_at(c)
-        if d.state is SlotState.PLACEHOLDER and d.owner_class == traffic_class:
-            return c
-    raise NoSlotAvailable(f"no placeholder owned by class {traffic_class} in window")
+    # Earliest placeholder of the class in the window [lo, hi). The ring
+    # resumes from the class's scan cursor and stops at _reclaim_cursor + N:
+    # counters above that bound are still IN_FLIGHT, and reclaim only frees
+    # counters at or above the previous bound, so no placeholder lies below
+    # the cursor (see DmaRing). The result equals a full scan of [lo, hi).
+    c = ring.first_placeholder(traffic_class)
+    if c is None:
+        raise NoSlotAvailable(f"no placeholder owned by class {traffic_class} in window")
+    return c
 
 
 def try_insert(
@@ -92,24 +101,22 @@ def try_insert(
         )
     c = target_counter(clock, pkt.scheduled_time)
     lo, hi = ring.insertion_window()
-    try:
-        if not lo <= c < hi:
-            raise OutOfWindow(
-                f"target counter {c} outside insertion window [{lo}, {hi})"
-            )
+    if not lo <= c < hi:
+        err = OutOfWindow(f"target counter {c} outside insertion window [{lo}, {hi})")
+    else:
         d = ring.descriptor_at(c)
         if d.state is not SlotState.PLACEHOLDER or d.crc_valid:
-            raise NotPlaceholder(f"slot {ring.slot_of(c)} is not a placeholder")
-        if d.owner_class != pkt.traffic_class:
-            raise OwnershipViolation(
+            err = NotPlaceholder(f"slot {ring.slot_of(c)} is not a placeholder")
+        elif d.owner_class != pkt.traffic_class:
+            err = OwnershipViolation(
                 f"slot {ring.slot_of(c)} owned by class {d.owner_class}, "
                 f"packet is class {pkt.traffic_class}"
             )
-    except (OutOfWindow, NotPlaceholder, OwnershipViolation):
-        if mode is InsertMode.STRICT:
-            raise
-        return _arm(ring, _scan_window(ring, pkt.traffic_class), pkt)
-    return _arm(ring, c, pkt)
+        else:
+            return _arm(ring, c, pkt)
+    if mode is InsertMode.STRICT:
+        raise err
+    return _arm(ring, _scan_window(ring, pkt.traffic_class), pkt)
 
 
 def insert_best_effort(ring: DmaRing, pkt: OutboundPacket) -> int:

@@ -64,7 +64,7 @@ class RingConfig:
         return Fraction((self.slot_size + self.wire_overhead) * 8 * 10**9, self.line_rate)
 
 
-@dataclass
+@dataclass(slots=True)
 class Descriptor:
     state: SlotState = SlotState.PLACEHOLDER
     owner_class: int = BEST_EFFORT
@@ -73,15 +73,6 @@ class Descriptor:
     scheduled_time: Optional[int] = None
     flow_id: Optional[str] = None
     seq: int = 0
-
-    def reset_to_placeholder(self, slot_size: int):
-        # Padding to the full slot happens here, off the insertion path.
-        self.state = SlotState.PLACEHOLDER
-        self.payload_len = slot_size
-        self.crc_valid = False
-        self.scheduled_time = None
-        self.flow_id = None
-        self.seq = 0
 
 
 class TransmittedRecord(NamedTuple):
@@ -94,6 +85,10 @@ class TransmittedRecord(NamedTuple):
     seq: int
 
 
+#: Builds a record from a field tuple without the keyword-handling __new__.
+_new_record = tuple.__new__
+
+
 class ReclaimReport(NamedTuple):
     reclaimed: tuple  # counter positions reset to placeholder
     producer_index: int
@@ -104,6 +99,19 @@ class DmaRing:
 
     Single-writer: all mutation happens from one logical thread (the event
     engine); instances may be handed between threads but never shared mutably.
+
+    Placeholder lookup keeps one scan cursor per traffic class. Only counters
+    in ``[lo, _reclaim_cursor + N)`` of the insertion window ``[lo, hi)`` can
+    hold a placeholder: their slot's previous lap (``c - N``) has already been
+    reclaimed, whereas a counter at or above ``_reclaim_cursor + N`` shares its
+    slot with counter ``c - N``, which is consumed (``c - N`` is below the
+    consumer) but not yet reclaimed, hence ``IN_FLIGHT``. Only
+    :meth:`poll_cycle` turns a slot back into a placeholder, and reclaiming
+    counter ``c`` frees counter ``c + N``, which is at or above the old bound
+    ``_reclaim_cursor + N``. So a placeholder never appears below a scan that
+    has already passed it, and a class's scan can resume where its previous
+    scan stopped: each counter is examined at most twice per class (once more
+    when it was the hit), which makes a lookup amortized O(1).
     """
 
     def __init__(self, config: RingConfig, ownership: Optional[dict] = None):
@@ -123,6 +131,7 @@ class DmaRing:
         self.consumer_index = 0
         self.producer_index = config.batch_size
         self._reclaim_cursor = 0  # counters below this have been reclaimed
+        self._scan_cursor: dict[int, int] = {}  # class -> counter to resume at
 
     # -- helpers -----------------------------------------------------------
 
@@ -141,28 +150,25 @@ class DmaRing:
         """Advance the NIC's consumer index by ``k`` completed transmissions."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        if self.consumer_index + k > self.producer_index:
+        first = self.consumer_index
+        if first + k > self.producer_index:
             raise RingUnderrun(
                 f"consume of {k} would pass producer "
-                f"({self.consumer_index} + {k} > {self.producer_index})"
+                f"({first} + {k} > {self.producer_index})"
             )
+        descriptors = self.descriptors
+        n = self.config.num_slots
+        in_flight = SlotState.IN_FLIGHT
         records = []
-        for _ in range(k):
-            c = self.consumer_index
-            d = self.descriptor_at(c)
-            records.append(
-                TransmittedRecord(
-                    position=c,
-                    payload_len=d.payload_len,
-                    crc_valid=d.crc_valid,
-                    flow_id=d.flow_id,
-                    owner_class=d.owner_class,
-                    scheduled_time=d.scheduled_time,
-                    seq=d.seq,
-                )
-            )
-            d.state = SlotState.IN_FLIGHT
-            self.consumer_index = c + 1
+        for c in range(first, first + k):
+            d = descriptors[c % n]
+            records.append(_new_record(
+                TransmittedRecord,
+                (c, d.payload_len, d.crc_valid, d.flow_id, d.owner_class,
+                 d.scheduled_time, d.seq),
+            ))
+            d.state = in_flight
+        self.consumer_index = first + k
         return records
 
     def poll_cycle(self) -> ReclaimReport:
@@ -171,23 +177,55 @@ class DmaRing:
         Idempotent when nothing was consumed since the last poll. The producer
         advance clamps at the full-ring bound so producer - consumer <= N.
         """
-        reclaimed = []
-        while self._reclaim_cursor < self.consumer_index:
-            c = self._reclaim_cursor
-            self.descriptor_at(c).reset_to_placeholder(self.config.slot_size)
-            reclaimed.append(c)
-            self._reclaim_cursor = c + 1
+        first, end = self._reclaim_cursor, self.consumer_index
+        config = self.config
+        n = config.num_slots
+        if end > first:
+            descriptors = self.descriptors
+            placeholder = SlotState.PLACEHOLDER
+            slot_size = config.slot_size
+            for c in range(first, end):
+                # Padding to the full slot happens here, off the insertion path.
+                d = descriptors[c % n]
+                d.state = placeholder
+                d.payload_len = slot_size
+                d.crc_valid = False
+                d.scheduled_time = None
+                d.flow_id = None
+                d.seq = 0
+            self._reclaim_cursor = end
         self.producer_index = min(
-            self.producer_index + self.config.batch_size,
-            self.consumer_index + self.config.num_slots,
+            self.producer_index + config.batch_size, end + n
         )
-        return ReclaimReport(tuple(reclaimed), self.producer_index)
+        return _new_record(ReclaimReport, (tuple(range(first, end)), self.producer_index))
 
     def insertion_window(self) -> tuple[int, int]:
         """Half-open counter interval [lo, hi) accepting immediate insertion."""
         lo = self.consumer_index + self.config.batch_size
         hi = self.consumer_index + self.config.num_slots
         return lo, hi
+
+    def first_placeholder(self, traffic_class: int) -> Optional[int]:
+        """Earliest in-window counter holding a placeholder the class owns.
+
+        Returns None when the window holds none. The scan resumes from the
+        class's cursor and stops at ``_reclaim_cursor + N`` (see the class
+        docstring for why that skips no placeholder). The cursor stays on a
+        hit, so a caller that does not arm it finds it again next time.
+        """
+        n = self.config.num_slots
+        lo = self.consumer_index + self.config.batch_size
+        bound = self._reclaim_cursor + n  # <= hi: reclaim never passes the consumer
+        start = max(lo, self._scan_cursor.get(traffic_class, lo))
+        descriptors = self.descriptors
+        placeholder = SlotState.PLACEHOLDER
+        for c in range(start, bound):
+            d = descriptors[c % n]
+            if d.state is placeholder and d.owner_class == traffic_class:
+                self._scan_cursor[traffic_class] = c
+                return c
+        self._scan_cursor[traffic_class] = max(start, bound)
+        return None
 
 
 def new_ring(config: RingConfig, ownership: Optional[dict] = None) -> DmaRing:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .clock import EphcClock
-from .errors import InsertError, NoSlotAvailable
+from .errors import InsertError
 from .insertion import InsertMode, OutboundPacket, insert_best_effort, target_counter, try_insert
 from .ring import DmaRing
 
@@ -134,10 +134,10 @@ def service(
         except InsertError as exc:
             report._count_drop(type(exc).__name__)
     while len(be):
-        try:
-            insert_best_effort(ring, be.peek())
-        except NoSlotAvailable:
+        pkt = be.peek()
+        if ring.first_placeholder(pkt.traffic_class) is None:
             break
+        insert_best_effort(ring, pkt)
         be.pop()
         report.inserted_be += 1
     return report

@@ -80,6 +80,21 @@ class TestIdealDeterminism:
         assert all(r.send_time == r.scheduled_time for r in res.flow_records(3))
 
 
+class TestTiedHandoffs:
+    def test_hand_offs_clamped_to_zero(self):
+        # Both first instances sit below release_delta, so both hand-offs
+        # clamp to 0 and tie on (handoff, instance).
+        flows = [FlowDef(flow_id=1, traffic_class=1, period=19_200, phase=4_800,
+                         payload_len=200),
+                 FlowDef(flow_id=2, traffic_class=2, period=19_200, phase=7_200,
+                         payload_len=200)]
+        res = run(base_scenario(flows=flows, duration=200_000))
+        assert res.report.dropped == 0
+        assert [(r.flow_id, r.seq) for r in res.records[:4]] == \
+            [(1, 0), (2, 0), (1, 1), (2, 1)]
+        assert all(r.send_time == r.scheduled_time for r in res.records)
+
+
 class TestIsolation:
     def make(self, frac, payload=1400):
         n = 32

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacersim import (
     BEST_EFFORT,
@@ -17,6 +19,7 @@ from pacersim import (
     try_insert,
 )
 from pacersim.errors import (
+    InsertError,
     NoSlotAvailable,
     NotPlaceholder,
     OutOfWindow,
@@ -143,3 +146,71 @@ class TestBestEffort:
             insert_best_effort(ring, pkt)
         with pytest.raises(NoSlotAvailable):
             insert_best_effort(ring, pkt)
+
+
+def linear_scan(ring, traffic_class):
+    """Reference lookup: earliest placeholder of the class in [lo, hi)."""
+    lo, hi = ring.insertion_window()
+    for c in range(lo, hi):
+        d = ring.descriptor_at(c)
+        if d.state is SlotState.PLACEHOLDER and d.owner_class == traffic_class:
+            return c
+    return None
+
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["consume", "poll", "strict", "relaxed", "best_effort",
+                         "peek"]),
+        st.integers(0, 1 << 16),  # picks k or the target counter
+        st.integers(0, 2),  # picks the traffic class
+    ),
+    max_size=300,
+)
+
+
+class TestScanCursor:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32]), data=st.data())
+    def test_matches_linear_scan(self, n, data):
+        batch = data.draw(st.integers(1, n), label="batch")
+        classes = data.draw(st.integers(1, 3), label="classes")
+        owners = data.draw(st.lists(st.integers(0, classes - 1), min_size=n,
+                                    max_size=n), label="owners")
+        ring = make_ring(n=n, batch=batch, ownership=dict(enumerate(owners)))
+        clock = clock_at()
+        for op, r, cls in data.draw(OPS, label="ops"):
+            cls %= classes
+            lo, hi = ring.insertion_window()
+            target = lo - 2 + r % (hi - lo + 4)
+            rt = OutboundPacket(flow_id=1, traffic_class=cls, payload_len=100,
+                                scheduled_time=target * DELTA)
+            if op == "consume":
+                ring.nic_consume(r % (ring.producer_index - ring.consumer_index + 1))
+            elif op == "poll":
+                ring.poll_cycle()
+            elif op == "strict":
+                try:
+                    try_insert(ring, rt, clock, InsertMode.STRICT)
+                except InsertError:
+                    pass
+            elif op == "peek":
+                assert ring.first_placeholder(cls) == linear_scan(ring, cls)
+            else:
+                if op == "relaxed":
+                    d = ring.descriptor_at(target)
+                    on_target = (lo <= target < hi and not d.crc_valid
+                                 and d.state is SlotState.PLACEHOLDER
+                                 and d.owner_class == cls)
+                    expect = target if on_target else linear_scan(ring, cls)
+                    insert = lambda: try_insert(ring, rt, clock, InsertMode.RELAXED)
+                else:
+                    expect = linear_scan(ring, cls)
+                    be = OutboundPacket(flow_id=-1, traffic_class=cls, payload_len=64)
+                    insert = lambda: insert_best_effort(ring, be)
+                if expect is None:
+                    with pytest.raises(NoSlotAvailable):
+                        insert()
+                else:
+                    assert insert() == expect
+                    assert ring.descriptor_at(expect).state is SlotState.ARMED
