@@ -30,6 +30,7 @@ from .errors import (
     QueueFull,
     RingUnderrun,
     ScenarioError,
+    ServoDiverged,
     ValidationError,
 )
 from .insertion import InsertMode, OutboundPacket, insert_best_effort, target_counter, try_insert

@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 when a run completes but reports a negative
-result (infeasible schedule, solver timeout), 2 on bad input.
+Exit codes: 0 on success, 1 when a run reports a negative result
+(infeasible schedule, solver timeout) or stops on a simulator error (a
+diverged sync servo, for one), 2 on bad input.
 """
 
 from __future__ import annotations
@@ -87,7 +88,11 @@ def ptp_study(config_path, out_dir, seed, unfiltered):
     cfg, model = parsed
     if seed is not None:
         cfg.rng_seed = seed
-    trace = run_sync_sim(cfg, model, filtered=not unfiltered)
+    try:
+        trace = run_sync_sim(cfg, model, filtered=not unfiltered)
+    except PacersimError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "ptp_trace.csv")

@@ -5,9 +5,16 @@ Time is a linear function of the number of transmitted slots:
 touches the period and the offset; the counter itself is driven solely by
 transmissions, so adjusting the clock never disturbs packet scheduling.
 
-The cycle period is kept as an exact rational so that ppm-scale rate
-adjustments compose without accumulating rounding error over billions of
-ticks.
+The period and the offset are stored as scaled integers: two numerators
+``_p`` and ``_o`` over one shared denominator ``_den``. The arithmetic is
+exact, so ppm-scale rate adjustments compose without accumulating rounding
+error over billions of ticks, yet the hot methods normalise no rational per
+call: ``int``, ``float`` and ``Fraction`` arguments enter through
+``as_integer_ratio()`` and are rescaled to the common denominator, and only
+a rate change divides the three integers by their gcd. ``time_at`` gives an
+exact, unreduced reading as a (numerator, denominator) pair, and
+``quantize_period`` snaps the period to a grid without a time step, which
+keeps the denominator bounded over long servo runs.
 """
 
 from __future__ import annotations
@@ -15,35 +22,76 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
-TimeLike = Union[int, Fraction]
+TimeLike = Union[int, float, Fraction]
 
 
-def _round_nearest(x: Fraction) -> int:
-    """Round to nearest integer, ties away from zero."""
-    if x < 0:
-        return -_round_nearest(-x)
-    return int(x + Fraction(1, 2))
+def as_ratio(x) -> tuple[int, int]:
+    """Exact (numerator, denominator > 0) of a rational number."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # e.g. numpy integers
+        f = Fraction(x)
+        return f.numerator, f.denominator
 
 
-@dataclass
+def _round_div(n: int, d: int) -> int:
+    """n / d (d > 0) rounded to the nearest integer, ties away from zero."""
+    if n >= 0:
+        return (2 * n + d) // (2 * d)
+    return -((d - 2 * n) // (2 * d))
+
+
 class EphcClock:
-    cycle_period: Fraction  # ns per tick, > 0
-    offset: Fraction = Fraction(0)  # signed ns
-    cycle_count: int = 0
+    __slots__ = ("_p", "_o", "_den", "cycle_count")
 
-    def __post_init__(self):
-        self.cycle_period = Fraction(self.cycle_period)
-        self.offset = Fraction(self.offset)
-        if self.cycle_period <= 0:
+    def __init__(self, cycle_period: TimeLike, offset: TimeLike = 0,
+                 cycle_count: int = 0):
+        period = Fraction(cycle_period)
+        offset = Fraction(offset)
+        if period <= 0:
             raise ValueError("cycle_period must be > 0")
+        den = lcm(period.denominator, offset.denominator)
+        self._p = period.numerator * (den // period.denominator)
+        self._o = offset.numerator * (den // offset.denominator)
+        self._den = den
+        self.cycle_count = cycle_count
 
-    def now_exact(self) -> Fraction:
-        return self.cycle_count * self.cycle_period + self.offset
+    @property
+    def cycle_period(self) -> Fraction:
+        """ns per tick, > 0."""
+        return Fraction(self._p, self._den)
+
+    @property
+    def offset(self) -> Fraction:
+        """Signed ns."""
+        return Fraction(self._o, self._den)
+
+    def __eq__(self, other):
+        if not isinstance(other, EphcClock):
+            return NotImplemented
+        return (self.cycle_count == other.cycle_count
+                and self._p * other._den == other._p * self._den
+                and self._o * other._den == other._o * self._den)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return (f"EphcClock(cycle_period={self.cycle_period!r}, "
+                f"offset={self.offset!r}, cycle_count={self.cycle_count!r})")
+
+    def time_at(self, count: int) -> tuple[int, int]:
+        """Exact reading at counter ``count`` as an unreduced (num, den)."""
+        return count * self._p + self._o, self._den
+
+    def now_exact(self) -> Union[int, Fraction]:
+        n = self.cycle_count * self._p + self._o
+        return n if self._den == 1 else Fraction(n, self._den)
 
     def now(self) -> int:
-        return _round_nearest(self.now_exact())
+        return _round_div(self.cycle_count * self._p + self._o, self._den)
 
     def tick(self, n: int = 1):
         """Advance the packet counter; the only way cycle_count changes."""
@@ -52,23 +100,61 @@ class EphcClock:
         self.cycle_count += n
         return self
 
+    def _rescale(self, b: int) -> None:
+        # Make _den a multiple of b (the lcm), keeping the represented values.
+        m = b // gcd(self._den, b)
+        if m != 1:
+            self._p *= m
+            self._o *= m
+            self._den *= m
+
+    def _reduce(self) -> None:
+        g = gcd(self._p, self._o, self._den)
+        if g != 1:
+            self._p //= g
+            self._o //= g
+            self._den //= g
+
     def adjust_offset(self, delta: TimeLike):
-        self.offset += Fraction(delta)
+        a, b = as_ratio(delta)
+        self._rescale(b)
+        self._o += a * (self._den // b)
         return self
 
     def set_time(self, t: TimeLike):
-        self.offset = Fraction(t) - self.cycle_count * self.cycle_period
+        a, b = as_ratio(t)
+        self._rescale(b)
+        self._o = a * (self._den // b) - self.cycle_count * self._p
         return self
 
     def adjust_rate(self, ratio):
         """Scale the cycle period; re-anchors the offset so that the reported
         time is continuous at the adjustment instant."""
-        ratio = Fraction(ratio)
-        if ratio <= 0:
+        a, b = as_ratio(ratio)
+        if a <= 0:
             raise ValueError("rate ratio must be > 0")
-        new_period = self.cycle_period * ratio
-        self.offset += self.cycle_count * (self.cycle_period - new_period)
-        self.cycle_period = new_period
+        p = self._p
+        self._o = self._o * b + self.cycle_count * p * (b - a)
+        self._p = p * a
+        self._den *= b
+        self._reduce()
+        return self
+
+    def quantize_period(self, grid: int):
+        """Snap the period to the nearest multiple of 1/grid (ties to even),
+        re-anchoring the offset so that the reported time is continuous."""
+        if grid < 1:
+            raise ValueError("grid must be >= 1")
+        den = self._den
+        q, r = divmod(self._p * grid, den)
+        if 2 * r > den or (2 * r == den and q & 1):
+            q += 1
+        if q <= 0:
+            raise ValueError("quantized cycle_period must be > 0")
+        self._o = self._o * grid + self.cycle_count * (self._p * grid - q * den)
+        self._p = q * den
+        self._den = den * grid
+        self._reduce()
         return self
 
 
@@ -123,5 +209,5 @@ class DualClock:
                 return t_rx, MergeAction.SET_TX_TO_RX
             self.rx.set_time(t_tx)
             return t_tx, MergeAction.SET_RX_TO_TX
-        merged = _round_nearest(Fraction(t_tx + t_rx + self.tau, 2))
+        merged = _round_div(t_tx + t_rx + self.tau, 2)
         return merged, MergeAction.NONE

@@ -68,3 +68,14 @@ class ParseError(PacersimError):
 
 class ValidationError(PacersimError):
     """A parsed config violates a documented invariant; names the invariant."""
+
+
+class ServoDiverged(PacersimError, ValueError):
+    """The sync servo's rate correction cannot be applied: the ratio is not
+    a positive finite number, or it leaves no positive period."""
+
+    def __init__(self, round_index, ratio):
+        self.round = round_index
+        self.ratio = ratio
+        super().__init__(f"servo diverged in round {round_index} "
+                         f"(rate ratio {ratio!r})")

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
-from .clock import EphcClock
+from .clock import EphcClock, as_ratio
 from .errors import (
     NoSlotAvailable,
     NotPlaceholder,
@@ -52,13 +51,14 @@ def target_counter(clock: EphcClock, scheduled_time) -> int:
     counter (rather than only the mod-N slot) lets late packets be detected
     instead of silently slipping a full ring revolution.
     """
-    offset, period = clock.offset, clock.cycle_period
-    if type(scheduled_time) is int and offset.denominator == 1 == period.denominator:
-        # Integral time and clock: the same floor division, without Fractions.
-        rel = scheduled_time - offset.numerator
-        return rel // period.numerator if rel >= 0 else -1
-    rel = Fraction(scheduled_time) - offset
-    return int(rel // period) if rel >= 0 else -1
+    p, o, den = clock._p, clock._o, clock._den
+    # t >= (c * p + o) / den  <=>  c <= (t * den - o) / p, with t = a / b.
+    if type(scheduled_time) is int:
+        rel = scheduled_time * den - o
+        return rel // p if rel >= 0 else -1
+    a, b = as_ratio(scheduled_time)
+    rel = a * den - o * b
+    return rel // (p * b) if rel >= 0 else -1
 
 
 def _arm(ring: DmaRing, counter: int, pkt: OutboundPacket) -> int:

@@ -12,6 +12,7 @@ errors.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .clock import EphcClock
-from .errors import DegenerateInterval
+from .errors import DegenerateInterval, ServoDiverged
 
 #: Gap between the slave receiving sync and sending its delay request, ns.
 TURNAROUND_NS = 30_000
@@ -167,10 +168,11 @@ class SyncTrace:
                 w.writerow([row[0]] + [repr(v) for v in row[1:]])
 
 
-def _slave_time_at(slave: EphcClock, t_true: int) -> Fraction:
-    # The slave counter ticks once per true ns, so count == t_true at the
-    # reading instant and the clock model can be evaluated directly.
-    return t_true * slave.cycle_period + slave.offset
+#: The servo snaps the slave period to this grid (1/GRID ns) after every rate
+#: change so that the clock's integers stay bounded over long runs.
+PERIOD_GRID = 1 << 64
+#: Rounds of timestamp errors drawn per RNG call.
+DRAW_CHUNK = 1024
 
 
 def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> SyncTrace:
@@ -180,7 +182,8 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
     period scaled by the initial frequency offset; the master reports true
     time. Each round draws the four timestamp errors, applies the full
     offset correction, and slews the rate from the (optionally filtered)
-    span-ratio estimate.
+    span-ratio estimate. Raises ServoDiverged, naming the round, when a rate
+    correction cannot be applied: the ratio is not a positive finite number.
     """
     rng = np.random.default_rng(config.rng_seed)
     slave = EphcClock(
@@ -190,35 +193,49 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
     d = config.network_delay
     gap = TURNAROUND_NS
     dts = delta_ts(model)
+    rounds = config.rounds
+    lo, hi = zip(*model.error_ranges())
 
     trace = SyncTrace()
     history: list[float] = []
     prev_t1 = prev_t2 = None
-    prev_residual: Optional[Fraction] = None
+    prev_residual = None  # (numerator, denominator) of S(t) - t after the last round
     clean_streak = 0
+    draws = []
 
-    for k in range(config.rounds):
+    for k in range(rounds):
+        j = k % DRAW_CHUNK
+        if j == 0:
+            # Row-major draws: the same stream as four scalar calls per round.
+            size = (min(DRAW_CHUNK, rounds - k), 4)
+            draws = rng.uniform(lo, hi, size=size).tolist()
+        e1, e2, e3, e4 = draws[j]
         t_sync = k * interval  # true send time of this round's sync
         t_recv = t_sync + d
-        e1, e2, e3, e4 = (rng.uniform(lo, hi) for lo, hi in model.error_ranges())
 
+        # The slave counter ticks once per true ns, so count == true time.
         slave.tick(t_recv - slave.cycle_count)
         t1 = t_sync + e1
-        t2 = float(slave.now_exact()) + e2
+        n, den = slave.time_at(t_recv)
+        t2 = n / den + e2
         slave.tick(gap)
-        t3 = float(slave.now_exact()) + e3
+        n, den = slave.time_at(t_recv + gap)
+        t3 = n / den + e3
         t4 = t_sync + d + gap + d + e4
 
-        true_off = slave.now_exact() - slave.cycle_count  # == S(t) - t
+        # S(t) - t over den; int / int is correctly rounded, as float(Fraction) is.
+        true_num = n - (t_recv + gap) * den
+        true_off = true_num / den
         est = compute_offset(t1, t2, t3, t4)
-        trace.true_offset.append(float(true_off))
-        trace.offset_error.append(est - float(true_off))
+        trace.true_offset.append(true_off)
+        trace.offset_error.append(est - true_off)
         if prev_residual is None:
             trace.drift_error.append(0.0)
         else:
-            trace.drift_error.append(float(true_off - prev_residual))
+            pn, pd = prev_residual
+            trace.drift_error.append((true_num * pd - pn * den) / (den * pd))
 
-        slave.adjust_offset(-Fraction(est))
+        slave.adjust_offset(-est)
 
         ratio_applied = 1.0
         if prev_t1 is not None:
@@ -227,17 +244,20 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
             ratio_applied = (
                 ma_filter(history, config.filter_window) if filtered else raw
             )
-            slave.adjust_rate(Fraction(ratio_applied))
-            # Snap the period to a 2**-64 ns grid so the rational arithmetic
-            # stays bounded over long runs. The snap shifts the rate by less
-            # than 1e-19 and goes through adjust_rate, so the reported time
-            # stays continuous.
-            snapped = Fraction(round(slave.cycle_period * (1 << 64)), 1 << 64)
-            slave.adjust_rate(snapped / slave.cycle_period)
+            if not 0.0 < ratio_applied < math.inf:
+                raise ServoDiverged(k, ratio_applied)
+            slave.adjust_rate(ratio_applied)
+            # The snap shifts the rate by less than 1e-19 and keeps the
+            # reported time continuous.
+            try:
+                slave.quantize_period(PERIOD_GRID)
+            except ValueError as exc:
+                raise ServoDiverged(k, ratio_applied) from exc
         trace.freq_ratio.append(ratio_applied)
 
         prev_t1, prev_t2 = t1, t2
-        prev_residual = _slave_time_at(slave, t_recv) - t_recv
+        n, den = slave.time_at(t_recv)
+        prev_residual = (n - t_recv * den, den)
 
         if abs(trace.offset_error[-1]) <= 2 * dts:
             clean_streak += 1

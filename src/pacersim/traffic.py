@@ -118,7 +118,7 @@ def service(
     """
     if report is None:
         report = ServiceReport()
-    now = clock.now_exact()
+    now = clock.now_exact() if len(rt) else None
     while len(rt):
         pkt = rt.peek()
         c = target_counter(clock, pkt.scheduled_time)

@@ -100,6 +100,17 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "ptp_trace.csv").exists()
 
+    def test_ptp_study_diverged_exit_1(self, tmp_path):
+        cfg = tmp_path / "ptp.yaml"
+        cfg.write_text(CONFIGS.joinpath("ptp_defaults.yaml").read_text()
+                       .replace("sync_interval: 100000000", "sync_interval: 1000000"))
+        res = self.run_cli("ptp-study", str(cfg), "--out-dir", str(tmp_path),
+                           "--unfiltered")
+        assert res.exit_code == 1, res.output
+        assert "error: servo diverged in round" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "ptp_trace.csv").exists()
+
     def test_sweep(self, tmp_path):
         cfg = tmp_path / "sweep.yaml"
         cfg.write_text("kind: sweep\nutilizations: [0.05, 0.10]\n"

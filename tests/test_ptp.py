@@ -1,12 +1,16 @@
 """Two-way sync math, analytic error bounds, and the closed-loop servo."""
 
 import random
+from fractions import Fraction
+from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacersim import (
+    PacersimError,
     PtpConfig,
     PtpErrorModel,
     compute_offset,
@@ -16,12 +20,14 @@ from pacersim import (
     ma_filter,
     run_sync_sim,
 )
-from pacersim.errors import DegenerateInterval
-from pacersim.ptp import sample_offset_errors
+from pacersim.errors import DegenerateInterval, ServoDiverged
+from pacersim.ptp import TURNAROUND_NS, SyncTrace, sample_offset_errors
 
 ZERO = PtpErrorModel(0, 0, 0, 0, 0, 0)
 DEFAULT = PtpErrorModel(g_master=2400, g_slave=2400, j_master_in=1000,
                         j_master_out=1000, j_slave_in=1000, j_slave_out=1000)
+HARDWARE = PtpErrorModel(g_master=8, g_slave=8, j_master_in=4, j_master_out=4,
+                         j_slave_in=4, j_slave_out=4)
 
 
 class TestComputeOffset:
@@ -154,3 +160,141 @@ class TestServo:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 40
         assert [float(r["offset_error_ns"]) for r in rows] == trace.offset_error
+
+
+class _FractionClock:
+    """The emulated clock in Fraction arithmetic, as the servo oracle uses it."""
+
+    def __init__(self, cycle_period):
+        self.cycle_period = Fraction(cycle_period)
+        self.offset = Fraction(0)
+        self.cycle_count = 0
+
+    def now_exact(self):
+        return self.cycle_count * self.cycle_period + self.offset
+
+    def tick(self, n):
+        self.cycle_count += n
+
+    def adjust_offset(self, delta):
+        self.offset += Fraction(delta)
+
+    def adjust_rate(self, ratio):
+        ratio = Fraction(ratio)
+        if ratio <= 0:
+            raise ValueError("rate ratio must be > 0")
+        new_period = self.cycle_period * ratio
+        self.offset += self.cycle_count * (self.cycle_period - new_period)
+        self.cycle_period = new_period
+
+
+def oracle_sync_sim(config, model, filtered, trace):
+    """The servo loop in exact Fraction arithmetic with one RNG call per
+    timestamp: the reference that run_sync_sim must match bit for bit.
+    Fills ``trace`` as it goes, so a failing round can be read from it."""
+    rng = np.random.default_rng(config.rng_seed)
+    slave = _FractionClock(1 + Fraction(config.initial_freq_offset_ppm) / 1_000_000)
+    interval = config.sync_interval
+    d = config.network_delay
+    gap = TURNAROUND_NS
+    dts = delta_ts(model)
+
+    history = []
+    prev_t1 = prev_t2 = None
+    prev_residual: Optional[Fraction] = None
+    clean_streak = 0
+
+    for k in range(config.rounds):
+        t_sync = k * interval
+        t_recv = t_sync + d
+        e1, e2, e3, e4 = (rng.uniform(lo, hi) for lo, hi in model.error_ranges())
+
+        slave.tick(t_recv - slave.cycle_count)
+        t1 = t_sync + e1
+        t2 = float(slave.now_exact()) + e2
+        slave.tick(gap)
+        t3 = float(slave.now_exact()) + e3
+        t4 = t_sync + d + gap + d + e4
+
+        true_off = slave.now_exact() - slave.cycle_count
+        est = compute_offset(t1, t2, t3, t4)
+        trace.true_offset.append(float(true_off))
+        trace.offset_error.append(est - float(true_off))
+        if prev_residual is None:
+            trace.drift_error.append(0.0)
+        else:
+            trace.drift_error.append(float(true_off - prev_residual))
+
+        slave.adjust_offset(-Fraction(est))
+
+        ratio_applied = 1.0
+        if prev_t1 is not None:
+            raw = estimate_freq_ratio(prev_t1, prev_t2, t1, t2)
+            history.append(raw)
+            ratio_applied = ma_filter(history, config.filter_window) if filtered else raw
+            slave.adjust_rate(Fraction(ratio_applied))
+            snapped = Fraction(round(slave.cycle_period * (1 << 64)), 1 << 64)
+            slave.adjust_rate(snapped / slave.cycle_period)
+        trace.freq_ratio.append(ratio_applied)
+
+        prev_t1, prev_t2 = t1, t2
+        prev_residual = t_recv * slave.cycle_period + slave.offset - t_recv
+
+        if abs(trace.offset_error[-1]) <= 2 * dts:
+            clean_streak += 1
+            if clean_streak >= 10 and trace.convergence_round is None:
+                trace.convergence_round = k
+        else:
+            clean_streak = 0
+    return trace
+
+
+def _bits(trace):
+    return (
+        trace.convergence_round,
+        [tuple(float.hex(v) for v in col) for col in (
+            trace.true_offset, trace.offset_error, trace.drift_error, trace.freq_ratio)],
+    )
+
+
+class TestServoEquivalence:
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 2500])
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("model, interval, ppm", [
+        (ZERO, 100_000_000, 1.0),
+        (DEFAULT, 100_000_000, -0.731),
+        (HARDWARE, 10_000_000, 0.377),
+    ], ids=["zero", "default", "hardware"])
+    def test_matches_fraction_oracle(self, model, interval, ppm, filtered, rounds):
+        cfg = PtpConfig(sync_interval=interval, network_delay=23_456,
+                        initial_freq_offset_ppm=ppm, rounds=rounds, rng_seed=rounds + 7)
+        got = run_sync_sim(cfg, model, filtered)
+        want = oracle_sync_sim(cfg, model, filtered, SyncTrace())
+        assert len(got.offset_error) == rounds
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("model", [DEFAULT, HARDWARE])
+    def test_window_one_matches_oracle(self, model):
+        cfg = PtpConfig(filter_window=1, rounds=300, rng_seed=19)
+        got = run_sync_sim(cfg, model, filtered=True)
+        want = oracle_sync_sim(cfg, model, True, SyncTrace())
+        assert _bits(got) == _bits(want)
+
+    def test_divergence_in_the_oracle_round(self):
+        # Software timestamps at a 1 ms interval, unfiltered: the rate
+        # estimate turns negative.
+        cfg = PtpConfig(sync_interval=1_000_000)
+        partial = SyncTrace()
+        with pytest.raises(ValueError):
+            oracle_sync_sim(cfg, DEFAULT, False, partial)
+        with pytest.raises(ServoDiverged) as ei:
+            run_sync_sim(cfg, DEFAULT, filtered=False)
+        err = ei.value
+        assert err.round == len(partial.freq_ratio)
+        assert isinstance(err, PacersimError) and isinstance(err, ValueError)
+        assert not err.ratio > 0
+        assert f"round {err.round}" in str(err)
+        # Every round before the failing one matched the oracle.
+        ok = PtpConfig(sync_interval=1_000_000, rounds=err.round)
+        assert _bits(run_sync_sim(ok, DEFAULT, filtered=False)) == \
+            _bits(oracle_sync_sim(ok, DEFAULT, False, SyncTrace()))
