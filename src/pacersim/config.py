@@ -4,13 +4,17 @@ A config file is a single YAML document with a ``kind`` key selecting what
 it describes: ``scenario`` (a network simulation), ``ptp`` (a clock
 synchronization study) or ``sweep`` (a schedulability sweep). Unknown keys
 are rejected so typos fail loudly rather than falling back to defaults.
+
+A document that is a JSON object is read with the ``json`` module, as YAML
+1.2 reads JSON, and PyYAML is imported only for other documents: it is far
+slower and larger, and its YAML 1.1 rules read some JSON numbers, such as
+``1e5``, as strings.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-
-import yaml
 
 from .engine import BeLoad, Bridge, FlowDef, GateWindow, Scenario
 from .errors import ParseError, ValidationError
@@ -43,6 +47,13 @@ def _check_keys(mapping: dict, allowed, where: str):
 
 
 def _load_yaml(text: str):
+    if text.lstrip().startswith("{"):
+        try:
+            return json.loads(text)  # a JSON object: always a dict
+        except ValueError:
+            pass  # e.g. a YAML flow mapping
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:

@@ -1,11 +1,14 @@
 """Discrete-event simulation of a paced ring feeding a switched network.
 
-The transmit side is modeled one slot at a time: every slot duration the NIC
-consumes one descriptor (placing its frame on the wire), the driver reclaims
-consumed descriptors and tops the ring up with placeholders, and the traffic
-manager services its queues into the insertion window. Valid frames then
-traverse an optional chain of store-and-forward bridges with time gates
-before reaching the receiver.
+The transmit side is modeled one slot at a time, and a slot is one ring
+call: ``DmaRing.transmit_slot`` puts the frame at the consumer on the wire,
+reclaims it and tops the ring up with placeholders. Real-time packets whose
+hand-off time has come are then queued, and ``traffic.service`` inserts them
+only in slots where the real-time queue holds packets. Each saturating
+best-effort load arms every placeholder its class owns in the insertion
+window (``DmaRing.fill_placeholders``). Valid real-time frames then traverse
+an optional chain of store-and-forward bridges with time gates before
+reaching the receiver; best-effort frames are counted.
 
 All times are integer nanoseconds (slot durations are integral for the
 supported frame sizes), so a noise-free scenario yields bit-identical
@@ -15,6 +18,7 @@ timestamps and exactly zero delay variation.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +48,8 @@ class FlowDef:
 
 @dataclass(frozen=True)
 class BeLoad:
-    """Saturating best-effort source: the queue is kept non-empty."""
+    """Saturating best-effort source: every placeholder its class owns in the
+    insertion window is filled in every slot. A class has at most one load."""
 
     traffic_class: int = BEST_EFFORT
     payload_len: int = 64
@@ -111,6 +116,16 @@ class Scenario:
         classes = {f.traffic_class for f in self.flows}
         if BEST_EFFORT in classes:
             raise ValidationError("real-time flows may not use the best-effort class")
+        be_classes = set()
+        for load in self.be_loads:
+            if load.traffic_class in be_classes:
+                raise ValidationError(
+                    f"two best-effort loads of class {load.traffic_class}")
+            if load.traffic_class in classes:
+                raise ValidationError(
+                    f"best-effort load of class {load.traffic_class} shares "
+                    f"its class with a real-time flow")
+            be_classes.add(load.traffic_class)
 
 
 @dataclass(frozen=True)
@@ -169,10 +184,10 @@ def _build_ring(scenario: Scenario) -> DmaRing:
     ownership = scenario.ownership
     if ownership is None:
         classes = sorted({f.traffic_class for f in scenario.flows})
-        if scenario.be_loads:
-            classes.append(BEST_EFFORT)
+        classes += [load.traffic_class for load in scenario.be_loads]
         if classes:
-            # Default layout: round-robin the RT classes over the ring.
+            # Default layout: round-robin the sorted RT classes, then each
+            # best-effort load's class, over the ring.
             ownership = {
                 pos: classes[pos % len(classes)]
                 for pos in range(scenario.ring.num_slots)
@@ -191,7 +206,7 @@ def run(scenario: Scenario) -> SimResult:
     clock = EphcClock(cycle_period=Fraction(delta))
     policy = ServicePolicy(release_delta=scenario.release_delta)
     rt = RtQueue(capacity=1 << 20)
-    be = BeQueue(capacity=1 << 20)
+    no_be = BeQueue()  # best-effort loads bypass service: see fill_placeholders
 
     # Hand-off timeline: (handoff_time, packet) sorted ascending.
     pending = []
@@ -215,63 +230,50 @@ def run(scenario: Scenario) -> SimResult:
             k += 1
     # Ties on (handoff, k) fall back to the wire seq, never to the packet.
     pending.sort(key=lambda e: (e[0], e[1], e[2].seq))
+    seq_of = {pkt.seq: k for _, k, pkt in pending}
+    pending.append((math.inf, 0, None))  # sentinel: never due
     pending_idx = 0
-    seq_of: dict = {}
-    for handoff, k, pkt in pending:
-        seq_of[pkt.seq] = k
 
     report = ServiceReport()
-    wire: list[PacketRecord] = []
+    records: list[PacketRecord] = []
     be_payload = 0
     be_frames = 0
+    be_loads = [(load.traffic_class, load.payload_len) for load in scenario.be_loads]
+    be_classes = {cls for cls, _ in be_loads}
+    propagation = scenario.propagation
+    bridges = scenario.bridges
+    transmit_slot = ring.transmit_slot
+    fill_placeholders = ring.fill_placeholders
 
-    num_steps = scenario.duration // delta
-    n = ring.config.num_slots
-    for step in range(num_steps):
+    for step in range(scenario.duration // delta):
         now = step * delta
         # The NIC transmits the frame at counter `step` during this slot.
-        for rec in ring.nic_consume(1):
-            if not rec.crc_valid:
-                continue
-            send = now
-            if rec.owner_class == BEST_EFFORT:
+        rec = transmit_slot()
+        if rec is not None:
+            if rec.owner_class in be_classes:
                 be_payload += rec.payload_len
                 be_frames += 1
-                continue
-            arrival = send + delta + scenario.propagation
-            for bridge in scenario.bridges:
-                arrival = bridge.step(rec.flow_id, arrival) + scenario.propagation
-            sched = rec.scheduled_time if rec.scheduled_time is not None else send
-            wire.append(
-                PacketRecord(rec.flow_id, rec.seq, sched, send, arrival)
-            )
-        ring.poll_cycle()
+            else:
+                arrival = now + delta + propagation
+                for bridge in bridges:
+                    arrival = bridge.step(rec.flow_id, arrival) + propagation
+                sched = rec.scheduled_time if rec.scheduled_time is not None else now
+                # Wire seq -> per-flow instance number, for readability.
+                records.append(PacketRecord(rec.flow_id, seq_of.get(rec.seq, rec.seq),
+                                            sched, now, arrival))
 
-        while pending_idx < len(pending) and pending[pending_idx][0] <= now:
-            _, _, pkt = pending[pending_idx]
-            if not rt.enqueue(pkt):
+        while pending[pending_idx][0] <= now:
+            if not rt.enqueue(pending[pending_idx][2]):
                 report.dropped += 1
                 report._count_drop("QueueFull")
             pending_idx += 1
-        if scenario.be_loads:
-            load = scenario.be_loads[0]
-            while len(be) < n:
-                be.enqueue(
-                    OutboundPacket(
-                        flow_id=-1,
-                        traffic_class=load.traffic_class,
-                        payload_len=load.payload_len,
-                    )
-                )
-        service(rt, be, ring, clock, policy, scenario.mode, report=report)
-        clock.tick()
+        if len(rt):
+            # The clock advances lazily: it reads `step` whenever service runs.
+            clock.tick(step - clock.cycle_count)
+            service(rt, no_be, ring, clock, policy, scenario.mode, report=report)
+        for cls, payload_len in be_loads:
+            report.inserted_be += fill_placeholders(cls, payload_len)
 
-    # Map wire seq back to per-flow instance numbers for readability.
-    records = [
-        PacketRecord(r.flow_id, seq_of.get(r.seq, r.seq), r.scheduled_time,
-                     r.send_time, r.recv_time)
-        for r in wire
-    ]
     return SimResult(
         records=records,
         report=report,

@@ -7,6 +7,11 @@ wire stays busy while the host only pays for real packets.
 
 Counters are free-running: the physical slot of counter ``c`` is ``c % N``.
 Positions reported by :meth:`DmaRing.nic_consume` are 0-based counter values.
+
+:meth:`DmaRing.nic_consume` and :meth:`DmaRing.poll_cycle` are the decoupled
+NIC and driver halves; :meth:`DmaRing.transmit_slot` is one slot time of the
+two coupled (consume one, then poll), and :meth:`DmaRing.fill_placeholders`
+arms every placeholder a best-effort class owns in one pass.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import InvalidConfig, RingUnderrun
+from .errors import InvalidConfig, PayloadTooLarge, RingUnderrun
 
 #: Traffic-class id reserved for best-effort traffic. Ring slots not claimed
 #: by a real-time application default to this class.
@@ -205,6 +210,19 @@ class DmaRing:
         hi = self.consumer_index + self.config.num_slots
         return lo, hi
 
+    def _scan_range(self, traffic_class: int) -> tuple[int, int]:
+        # [start, end) of the class's placeholder scan: from its cursor
+        # (clamped to lo) up to _reclaim_cursor + N <= hi, past which every
+        # counter is still IN_FLIGHT (see the class docstring). A scan that
+        # reaches end leaves the class's cursor there.
+        lo = self.consumer_index + self.config.batch_size
+        bound = self._reclaim_cursor + self.config.num_slots
+        # Comparisons, not max(): this runs every slot of a best-effort load.
+        start = self._scan_cursor.get(traffic_class, lo)
+        if start < lo:
+            start = lo
+        return start, (bound if bound > start else start)
+
     def first_placeholder(self, traffic_class: int) -> Optional[int]:
         """Earliest in-window counter holding a placeholder the class owns.
 
@@ -213,19 +231,94 @@ class DmaRing:
         docstring for why that skips no placeholder). The cursor stays on a
         hit, so a caller that does not arm it finds it again next time.
         """
+        start, end = self._scan_range(traffic_class)
         n = self.config.num_slots
-        lo = self.consumer_index + self.config.batch_size
-        bound = self._reclaim_cursor + n  # <= hi: reclaim never passes the consumer
-        start = max(lo, self._scan_cursor.get(traffic_class, lo))
         descriptors = self.descriptors
         placeholder = SlotState.PLACEHOLDER
-        for c in range(start, bound):
+        for c in range(start, end):
             d = descriptors[c % n]
             if d.state is placeholder and d.owner_class == traffic_class:
                 self._scan_cursor[traffic_class] = c
                 return c
-        self._scan_cursor[traffic_class] = max(start, bound)
+        self._scan_cursor[traffic_class] = end
         return None
+
+    def fill_placeholders(self, traffic_class: int, payload_len: int) -> int:
+        """Arm every in-window placeholder the class owns with a best-effort
+        frame of ``payload_len`` bytes; returns how many were armed.
+
+        Equals calling :meth:`first_placeholder` and arming the hit the way
+        ``insertion.insert_best_effort`` does, until no placeholder is left,
+        but makes one pass. Raises ValueError for ``payload_len < 1`` and
+        PayloadTooLarge (arming nothing more) on the first placeholder found
+        when the payload exceeds the slot size.
+        """
+        if payload_len < 1:
+            raise ValueError("payload_len must be >= 1")
+        start, end = self._scan_range(traffic_class)
+        config = self.config
+        n = config.num_slots
+        descriptors = self.descriptors
+        placeholder = SlotState.PLACEHOLDER
+        armed = SlotState.ARMED
+        filled = 0
+        for c in range(start, end):
+            d = descriptors[c % n]
+            if d.state is placeholder and d.owner_class == traffic_class:
+                if payload_len > config.slot_size:
+                    self._scan_cursor[traffic_class] = c
+                    raise PayloadTooLarge(
+                        f"payload {payload_len} exceeds slot size {config.slot_size}"
+                    )
+                d.state = armed
+                d.payload_len = payload_len  # padded to slot_size on the wire
+                d.crc_valid = True
+                d.scheduled_time = None
+                d.flow_id = None
+                d.seq = 0
+                filled += 1
+        self._scan_cursor[traffic_class] = end
+        return filled
+
+    def transmit_slot(self) -> Optional[TransmittedRecord]:
+        """One slot time of the coupled NIC and driver.
+
+        Equals ``nic_consume(1)`` followed by ``poll_cycle()``: the same
+        counters, descriptors and RingUnderrun, and a lagging reclaim (left
+        by an earlier ``nic_consume`` without a poll) reclaims the whole
+        range up to the consumer. Returns the record of a valid frame and
+        None for a placeholder; builds no list and no ReclaimReport.
+        """
+        c = self.consumer_index
+        if c >= self.producer_index:
+            raise RingUnderrun(
+                f"consume of 1 would pass producer ({c} + 1 > {self.producer_index})"
+            )
+        config = self.config
+        n = config.num_slots
+        descriptors = self.descriptors
+        d = descriptors[c % n]
+        rec = _new_record(
+            TransmittedRecord,
+            (c, d.payload_len, d.crc_valid, d.flow_id, d.owner_class,
+             d.scheduled_time, d.seq),
+        ) if d.crc_valid else None
+        end = c + 1
+        placeholder = SlotState.PLACEHOLDER
+        slot_size = config.slot_size
+        # Usually just c; more when an earlier nic_consume was not polled.
+        for r in range(self._reclaim_cursor, end):
+            d = descriptors[r % n]
+            d.state = placeholder
+            d.payload_len = slot_size
+            d.crc_valid = False
+            d.scheduled_time = None
+            d.flow_id = None
+            d.seq = 0
+        self.consumer_index = self._reclaim_cursor = end
+        producer = self.producer_index + config.batch_size
+        self.producer_index = producer if producer < end + n else end + n  # min()
+        return rec
 
 
 def new_ring(config: RingConfig, ownership: Optional[dict] = None) -> DmaRing:

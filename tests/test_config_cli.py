@@ -1,8 +1,10 @@
 """Config parsing and the command line front end."""
 
+import json
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from pacersim.cli import main
@@ -50,6 +52,18 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="oops"):
             parse_config("kind: scenario\nduration: 1\noops: 2\n"
                          "ring: {num_slots: 4, slot_size: 300}\n")
+
+    @pytest.mark.parametrize("name", ["back_to_back.yaml", "ptp_defaults.yaml",
+                                      "sweep_default.yaml"])
+    def test_json_document_parses_as_its_yaml(self, name):
+        text = CONFIGS.joinpath(name).read_text()
+        as_json = json.dumps(yaml.safe_load(text), indent=1)
+        assert parse_config(as_json) == parse_config(text)
+
+    def test_yaml_flow_mapping_still_yaml(self):
+        kind, sc = parse_config("{kind: scenario, duration: 1000, "
+                                "ring: {num_slots: 4, slot_size: 300}}")
+        assert (kind, sc.duration, sc.ring.num_slots) == ("scenario", 1000, 4)
 
     def test_yaml_error_carries_location(self):
         with pytest.raises(ParseError) as ei:

@@ -16,7 +16,12 @@ from pacersim import (
     run,
     step_gate_bridge,
 )
-from pacersim.engine import read_metrics_csv, write_metrics_csv, write_summary_csv
+from pacersim.engine import (
+    _build_ring,
+    read_metrics_csv,
+    write_metrics_csv,
+    write_summary_csv,
+)
 from pacersim.errors import InsufficientSamples, ValidationError
 
 RT = 1
@@ -192,3 +197,48 @@ class TestValidation:
             base_scenario(flows=[FlowDef(flow_id=1, traffic_class=0,
                                          period=19_200, phase=0,
                                          payload_len=64)])
+
+
+class TestBestEffortLoads:
+    """8-slot ring, 64 slots: the first two slots go out before any fill."""
+
+    def scenario(self, **kw):
+        return Scenario(ring=RingConfig(num_slots=8, slot_size=64, batch_size=1),
+                        duration=64 * 512, **kw)
+
+    def test_two_loads_of_one_class_rejected(self):
+        with pytest.raises(ValidationError):
+            self.scenario(be_loads=[BeLoad(0, 64), BeLoad(0, 46)])
+
+    def test_load_on_rt_class_rejected(self):
+        flow = FlowDef(flow_id=1, traffic_class=5, period=4096, phase=0,
+                       payload_len=64)
+        with pytest.raises(ValidationError):
+            self.scenario(flows=[flow], be_loads=[BeLoad(5, 64)])
+
+    def test_every_load_filled(self):
+        res = run(self.scenario(be_loads=[BeLoad(0, 64), BeLoad(2, 46)]))
+        # Default layout alternates classes 0 and 2; counters 2..63 carry
+        # 31 frames of each.
+        assert res.be_frames == 62
+        assert res.be_payload_bytes == 31 * 64 + 31 * 46
+        assert res.report.inserted_be == 70  # counters 2..71: 8 still queued
+
+    def test_nonzero_class_in_default_layout(self):
+        res = run(self.scenario(be_loads=[BeLoad(5, 64)]))
+        assert res.be_frames == 62
+        assert res.records == []
+
+    def test_nonzero_class_counted_as_best_effort(self):
+        res = run(self.scenario(be_loads=[BeLoad(5, 64)],
+                                ownership={i: 5 for i in range(8)}))
+        assert res.be_frames == 62
+        assert res.be_payload_bytes == 62 * 64
+        assert res.records == []
+
+    def test_default_layout_round_robins_rt_then_loads(self):
+        flows = [FlowDef(flow_id=i, traffic_class=c, period=4096, phase=0,
+                         payload_len=64, count=0) for i, c in ((1, 3), (2, 1))]
+        sc = self.scenario(flows=flows, be_loads=[BeLoad(4, 64), BeLoad(0, 64)])
+        ring = _build_ring(sc)
+        assert [ring.owner_of(c) for c in range(8)] == [1, 3, 4, 0] * 2

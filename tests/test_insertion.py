@@ -214,3 +214,81 @@ class TestScanCursor:
                 else:
                     assert insert() == expect
                     assert ring.descriptor_at(expect).state is SlotState.ARMED
+
+
+def ring_state(ring):
+    return (ring.consumer_index, ring.producer_index, ring._reclaim_cursor,
+            dict(ring._scan_cursor),
+            [(d.state, d.owner_class, d.payload_len, d.crc_valid,
+              d.scheduled_time, d.flow_id, d.seq) for d in ring.descriptors])
+
+
+def fill_by_lookup(ring, traffic_class, payload_len):
+    """Reference fill: first_placeholder + insert_best_effort until none is left."""
+    pkt = OutboundPacket(flow_id=None, traffic_class=traffic_class,
+                         payload_len=payload_len)
+    filled = 0
+    while ring.first_placeholder(traffic_class) is not None:
+        insert_best_effort(ring, pkt)
+        filled += 1
+    return filled
+
+
+class TestFillPlaceholders:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.sampled_from([1, 4, 8, 16]), data=st.data())
+    def test_matches_lookup_loop(self, n, data):
+        batch = data.draw(st.integers(1, n), label="batch")
+        classes = data.draw(st.integers(1, 3), label="classes")
+        owners = data.draw(st.lists(st.integers(0, classes - 1), min_size=n,
+                                    max_size=n), label="owners")
+        one_pass = make_ring(n=n, batch=batch, ownership=dict(enumerate(owners)))
+        ref = make_ring(n=n, batch=batch, ownership=dict(enumerate(owners)))
+        clock = clock_at()
+        ops = st.lists(st.tuples(
+            st.sampled_from(["consume", "poll", "strict", "fill"]),
+            st.integers(0, 1 << 16), st.integers(0, 2),
+            st.sampled_from([0, 1, 64, 300, 301])), max_size=200)
+        for op, r, cls, payload in data.draw(ops, label="ops"):
+            cls %= classes
+            if op == "consume":
+                k = r % (ref.producer_index - ref.consumer_index + 1)
+                for ring in (one_pass, ref):
+                    ring.nic_consume(k)
+            elif op == "poll":
+                for ring in (one_pass, ref):
+                    ring.poll_cycle()
+            elif op == "strict":
+                lo, hi = ref.insertion_window()
+                pkt = OutboundPacket(flow_id=1, traffic_class=cls, payload_len=100,
+                                     scheduled_time=(lo - 1 + r % (hi - lo + 2)) * DELTA)
+                for ring in (one_pass, ref):
+                    try:
+                        try_insert(ring, pkt, clock, InsertMode.STRICT)
+                    except InsertError:
+                        pass
+            else:
+                outcomes = []
+                for ring, fill in ((one_pass, DmaRing.fill_placeholders),
+                                   (ref, fill_by_lookup)):
+                    try:
+                        outcomes.append(fill(ring, cls, payload))
+                    except (ValueError, PayloadTooLarge) as exc:
+                        outcomes.append(type(exc))
+                assert outcomes[0] == outcomes[1]
+            assert ring_state(one_pass) == ring_state(ref)
+
+    def test_arms_every_owned_placeholder(self):
+        ring = make_ring(n=8, batch=2, ownership={i: i % 2 for i in range(8)})
+        assert ring.fill_placeholders(0, 64) == 3  # counters 2, 4, 6 of [2, 8)
+        assert [c for c in range(8) if ring.descriptor_at(c).crc_valid] == [2, 4, 6]
+        assert ring.fill_placeholders(0, 64) == 0
+        assert ring._scan_cursor[0] == 8
+
+    def test_oversize_payload_raises_only_with_a_placeholder(self):
+        ring = make_ring(n=8, batch=2, ownership={i: 1 for i in range(8)})
+        assert ring.fill_placeholders(0, 301) == 0  # class 0 owns no slot
+        with pytest.raises(PayloadTooLarge):
+            ring.fill_placeholders(1, 301)
+        with pytest.raises(ValueError):
+            ring.fill_placeholders(0, 0)

@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacersim import BEST_EFFORT, DmaRing, RingConfig, SlotState, relative_throughput
-from pacersim.errors import InvalidConfig, RingUnderrun
+from pacersim import (
+    BEST_EFFORT,
+    DmaRing,
+    OutboundPacket,
+    RingConfig,
+    SlotState,
+    insert_best_effort,
+    relative_throughput,
+)
+from pacersim.errors import InvalidConfig, NoSlotAvailable, RingUnderrun
 
 
 def make_ring(n=12, batch=5, **kw):
@@ -162,3 +170,72 @@ class TestRandomTraces:
             else:
                 ring.poll_cycle()
             assert 0 <= ring.producer_index - ring.consumer_index <= n
+
+
+def ring_state(ring):
+    """Everything transmit_slot may touch, for twin-ring comparisons."""
+    return (ring.consumer_index, ring.producer_index, ring._reclaim_cursor,
+            dict(ring._scan_cursor),
+            [(d.state, d.owner_class, d.payload_len, d.crc_valid,
+              d.scheduled_time, d.flow_id, d.seq) for d in ring.descriptors])
+
+
+class TestTransmitSlot:
+    """transmit_slot() against its reference, nic_consume(1) + poll_cycle()."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_consume_then_poll(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        n = rng.choice([1, 2, 4, 8, 12])
+        batch = rng.randint(1, n)
+        owners = {i: rng.randint(0, 2) for i in range(n)}
+        cfg = RingConfig(num_slots=n, slot_size=300, batch_size=batch)
+        fused, ref = DmaRing(cfg, dict(owners)), DmaRing(cfg, dict(owners))
+        for _ in range(rng.randint(1, 120)):
+            op = rng.random()
+            if op < 0.5:
+                try:
+                    got = fused.transmit_slot()
+                except RingUnderrun:
+                    with pytest.raises(RingUnderrun):
+                        ref.nic_consume(1)
+                else:
+                    (want,) = ref.nic_consume(1)
+                    ref.poll_cycle()
+                    assert got == (want if want.crc_valid else None)
+            elif op < 0.65:
+                # Decoupled NIC: leaves a lagging reclaim (or an empty ring).
+                k = rng.randint(0, fused.producer_index - fused.consumer_index)
+                assert fused.nic_consume(k) == ref.nic_consume(k)
+            elif op < 0.7:
+                assert fused.poll_cycle() == ref.poll_cycle()
+            else:
+                seq = rng.randint(0, 99)
+                pkt = OutboundPacket(flow_id=f"f{seq}", traffic_class=rng.randint(0, 2),
+                                     payload_len=rng.randint(1, 300), seq=seq)
+                for ring in (fused, ref):
+                    try:
+                        insert_best_effort(ring, pkt)
+                    except NoSlotAvailable:
+                        pass
+            assert ring_state(fused) == ring_state(ref)
+
+    def test_underrun_leaves_ring_unchanged(self):
+        ring = make_ring(n=8, batch=3)
+        ring.nic_consume(3)  # consumer reaches the producer, nothing polled
+        before = ring_state(ring)
+        with pytest.raises(RingUnderrun):
+            ring.transmit_slot()
+        assert ring_state(ring) == before
+
+    def test_lagging_reclaim_reclaims_whole_range(self):
+        ring = make_ring(n=8, batch=4)
+        ring.nic_consume(3)
+        assert ring.transmit_slot() is None
+        assert ring._reclaim_cursor == ring.consumer_index == 4
+        assert all(ring.descriptor_at(c).state is SlotState.PLACEHOLDER
+                   for c in range(4))
+        assert ring.producer_index == 8
