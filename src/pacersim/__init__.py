@@ -29,7 +29,6 @@ from .errors import (
     PayloadTooLarge,
     QueueFull,
     RingUnderrun,
-    ScenarioError,
     ServoDiverged,
     ValidationError,
 )
@@ -51,7 +50,6 @@ from .ring import (
     RingConfig,
     SlotState,
     TransmittedRecord,
-    new_ring,
     relative_throughput,
 )
 from .scheduling import (
@@ -73,4 +71,4 @@ from .scheduling import (
 )
 from .traffic import BeQueue, RtQueue, ServicePolicy, ServiceReport, service
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

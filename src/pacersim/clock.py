@@ -10,11 +10,12 @@ The period and the offset are stored as scaled integers: two numerators
 exact, so ppm-scale rate adjustments compose without accumulating rounding
 error over billions of ticks, yet the hot methods normalise no rational per
 call: ``int``, ``float`` and ``Fraction`` arguments enter through
-``as_integer_ratio()`` and are rescaled to the common denominator, and only
-a rate change divides the three integers by their gcd. ``time_at`` gives an
-exact, unreduced reading as a (numerator, denominator) pair, and
-``quantize_period`` snaps the period to a grid without a time step, which
-keeps the denominator bounded over long servo runs.
+``as_integer_ratio()`` and are rescaled to the common denominator only when
+it is not already a multiple of theirs. A rate change snaps the new period to
+a 1/grid lattice in the same step, so ``_den`` grows only by the
+denominators of offsets and set times (powers of two for floats) and stays
+bounded over long servo runs without a gcd. ``time_at`` gives an exact,
+unreduced reading as a (numerator, denominator) pair.
 """
 
 from __future__ import annotations
@@ -102,18 +103,11 @@ class EphcClock:
 
     def _rescale(self, b: int) -> None:
         # Make _den a multiple of b (the lcm), keeping the represented values.
-        m = b // gcd(self._den, b)
-        if m != 1:
+        if self._den % b:
+            m = b // gcd(self._den, b)
             self._p *= m
             self._o *= m
             self._den *= m
-
-    def _reduce(self) -> None:
-        g = gcd(self._p, self._o, self._den)
-        if g != 1:
-            self._p //= g
-            self._o //= g
-            self._den //= g
 
     def adjust_offset(self, delta: TimeLike):
         a, b = as_ratio(delta)
@@ -127,34 +121,30 @@ class EphcClock:
         self._o = a * (self._den // b) - self.cycle_count * self._p
         return self
 
-    def adjust_rate(self, ratio):
-        """Scale the cycle period; re-anchors the offset so that the reported
-        time is continuous at the adjustment instant."""
+    def adjust_rate(self, ratio, grid: int):
+        """Scale the cycle period by ``ratio`` and snap it to the nearest
+        multiple of 1/grid (ties to even), re-anchoring the offset so that
+        the reported time is continuous at the adjustment instant."""
         a, b = as_ratio(ratio)
         if a <= 0:
             raise ValueError("rate ratio must be > 0")
-        p = self._p
-        self._o = self._o * b + self.cycle_count * p * (b - a)
-        self._p = p * a
-        self._den *= b
-        self._reduce()
-        return self
-
-    def quantize_period(self, grid: int):
-        """Snap the period to the nearest multiple of 1/grid (ties to even),
-        re-anchoring the offset so that the reported time is continuous."""
         if grid < 1:
             raise ValueError("grid must be >= 1")
+        self._rescale(grid)
         den = self._den
-        q, r = divmod(self._p * grid, den)
-        if 2 * r > den or (2 * r == den and q & 1):
+        p = self._p
+        db = den * b
+        q, r = divmod(p * a * grid, db)
+        r *= 2
+        if r > db or (r == db and q & 1):
             q += 1
         if q <= 0:
-            raise ValueError("quantized cycle_period must be > 0")
-        self._o = self._o * grid + self.cycle_count * (self._p * grid - q * den)
-        self._p = q * den
-        self._den = den * grid
-        self._reduce()
+            raise ValueError("adjusted cycle_period must be > 0")
+        # Scaling then snapping moves the offset by count * (P - Q/grid):
+        # the 1/b of the intermediate period cancels.
+        p_new = q * (den // grid)
+        self._o += self.cycle_count * (p - p_new)
+        self._p = p_new
         return self
 
 

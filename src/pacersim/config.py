@@ -153,25 +153,33 @@ def _parse_ptp(doc: dict):
     _check_keys(doc, ["kind", "sync_interval", "network_delay",
                       "initial_freq_offset_ppm", "filter_window", "rounds",
                       "rng_seed", "error_model"], "ptp")
-    cfg = PtpConfig(
-        sync_interval=doc.get("sync_interval", 100_000_000),
-        network_delay=doc.get("network_delay", 10_000),
-        initial_freq_offset_ppm=doc.get("initial_freq_offset_ppm", 1.0),
-        filter_window=doc.get("filter_window", 10),
-        rounds=doc.get("rounds", 1000),
-        rng_seed=doc.get("rng_seed", 0),
-    )
-    em = doc.get("error_model", {})
-    _check_keys(em, ["g_master", "g_slave", "j_master_in", "j_master_out",
-                     "j_slave_in", "j_slave_out"], "error_model")
-    model = PtpErrorModel(
-        g_master=em.get("g_master", 2400),
-        g_slave=em.get("g_slave", 2400),
-        j_master_in=em.get("j_master_in", 1000),
-        j_master_out=em.get("j_master_out", 1000),
-        j_slave_in=em.get("j_slave_in", 1000),
-        j_slave_out=em.get("j_slave_out", 1000),
-    )
+    # A study reports its worst round, so it needs one; the library itself
+    # accepts zero rounds.
+    rounds = doc.get("rounds", 1000)
+    if rounds < 1:
+        raise ValidationError(f"ptp: rounds must be >= 1, got {rounds!r}")
+    try:
+        cfg = PtpConfig(
+            sync_interval=doc.get("sync_interval", 100_000_000),
+            network_delay=doc.get("network_delay", 10_000),
+            initial_freq_offset_ppm=doc.get("initial_freq_offset_ppm", 1.0),
+            filter_window=doc.get("filter_window", 10),
+            rounds=rounds,
+            rng_seed=doc.get("rng_seed", 0),
+        )
+        em = doc.get("error_model", {})
+        _check_keys(em, ["g_master", "g_slave", "j_master_in", "j_master_out",
+                         "j_slave_in", "j_slave_out"], "error_model")
+        model = PtpErrorModel(
+            g_master=em.get("g_master", 2400),
+            g_slave=em.get("g_slave", 2400),
+            j_master_in=em.get("j_master_in", 1000),
+            j_master_out=em.get("j_master_out", 1000),
+            j_slave_in=em.get("j_slave_in", 1000),
+            j_slave_out=em.get("j_slave_out", 1000),
+        )
+    except ValueError as exc:
+        raise ValidationError(f"ptp: {exc}") from exc
     return cfg, model
 
 

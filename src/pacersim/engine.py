@@ -159,10 +159,6 @@ class SimResult:
         return self.be_payload_bytes * 8 / (self.duration * 1e-9)
 
 
-#: Alias for readers expecting the metrics-report naming.
-MetricsReport = SimResult
-
-
 def pdv(delays) -> tuple[float, float]:
     """Packet delay variation: (population stddev, max deviation from mean)."""
     if len(delays) < 2:
@@ -264,7 +260,6 @@ def run(scenario: Scenario) -> SimResult:
 
         while pending[pending_idx][0] <= now:
             if not rt.enqueue(pending[pending_idx][2]):
-                report.dropped += 1
                 report._count_drop("QueueFull")
             pending_idx += 1
         if len(rt):

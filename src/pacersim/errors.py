@@ -53,10 +53,6 @@ class Overflow(PacersimError):
     pass
 
 
-class ScenarioError(PacersimError):
-    pass
-
-
 class ParseError(PacersimError):
     def __init__(self, message, line=None, column=None):
         self.line = line

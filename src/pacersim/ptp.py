@@ -168,8 +168,9 @@ class SyncTrace:
                 w.writerow([row[0]] + [repr(v) for v in row[1:]])
 
 
-#: The servo snaps the slave period to this grid (1/GRID ns) after every rate
-#: change so that the clock's integers stay bounded over long runs.
+#: Every rate change snaps the slave period to this grid (1/GRID ns), which
+#: shifts the rate by less than 1e-19 and keeps the clock's denominator from
+#: growing with the number of rounds.
 PERIOD_GRID = 1 << 64
 #: Rounds of timestamp errors drawn per RNG call.
 DRAW_CHUNK = 1024
@@ -183,7 +184,8 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
     time. Each round draws the four timestamp errors, applies the full
     offset correction, and slews the rate from the (optionally filtered)
     span-ratio estimate. Raises ServoDiverged, naming the round, when a rate
-    correction cannot be applied: the ratio is not a positive finite number.
+    correction cannot be applied: the ratio is not a positive finite number,
+    or the period it gives snaps to zero on the grid.
     """
     rng = np.random.default_rng(config.rng_seed)
     slave = EphcClock(
@@ -233,7 +235,10 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
             trace.drift_error.append(0.0)
         else:
             pn, pd = prev_residual
-            trace.drift_error.append((true_num * pd - pn * den) / (den * pd))
+            if pd == den:
+                trace.drift_error.append((true_num - pn) / den)
+            else:
+                trace.drift_error.append((true_num * pd - pn * den) / (den * pd))
 
         slave.adjust_offset(-est)
 
@@ -246,11 +251,8 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
             )
             if not 0.0 < ratio_applied < math.inf:
                 raise ServoDiverged(k, ratio_applied)
-            slave.adjust_rate(ratio_applied)
-            # The snap shifts the rate by less than 1e-19 and keeps the
-            # reported time continuous.
             try:
-                slave.quantize_period(PERIOD_GRID)
+                slave.adjust_rate(ratio_applied, PERIOD_GRID)
             except ValueError as exc:
                 raise ServoDiverged(k, ratio_applied) from exc
         trace.freq_ratio.append(ratio_applied)

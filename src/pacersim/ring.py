@@ -321,11 +321,6 @@ class DmaRing:
         return rec
 
 
-def new_ring(config: RingConfig, ownership: Optional[dict] = None) -> DmaRing:
-    """Build a freshly initialized ring: all placeholders, producer at batch size."""
-    return DmaRing(config, ownership)
-
-
 def relative_throughput(config: RingConfig) -> float:
     """Predicted fraction of line rate the pacing loop sustains.
 

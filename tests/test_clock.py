@@ -59,13 +59,14 @@ class TestAdjust:
 
     def test_rate_ratio_exact(self):
         c = EphcClock(cycle_period=Fraction(2400))
-        c.adjust_rate(1 + Fraction(1, 10**6))
+        c.adjust_rate(1 + Fraction(1, 10**6), 10**6)
         assert c.cycle_period == Fraction(2400) + Fraction(2400, 10**6)
 
     def test_rate_continuity(self):
         c = EphcClock(cycle_period=Fraction(2400), offset=Fraction(17), cycle_count=12345)
         before = c.now_exact()
-        c.adjust_rate(Fraction(999, 1000))
+        c.adjust_rate(Fraction(999, 1000), 1000)
+        assert c.cycle_period == Fraction(2400 * 999, 1000)
         assert abs(c.now_exact() - before) == 0
 
     @given(count=st.integers(0, 10**9),
@@ -74,7 +75,8 @@ class TestAdjust:
     def test_rate_continuity_property(self, count, num, den):
         c = EphcClock(cycle_period=Fraction(2400), cycle_count=count)
         before = c.now_exact()
-        c.adjust_rate(Fraction(num, den))
+        c.adjust_rate(Fraction(num, den), den)
+        assert c.cycle_period == Fraction(2400 * num, den)
         assert c.now_exact() == before
 
 
@@ -142,21 +144,16 @@ class FractionClock:
     def set_time(self, t):
         self.offset = Fraction(t) - self.count * self.period
 
-    def adjust_rate(self, ratio):
+    def adjust_rate(self, ratio, grid):
         ratio = Fraction(ratio)
         if ratio <= 0:
             raise ValueError("rate ratio must be > 0")
-        self._set_period(self.period * ratio)
-
-    def quantize_period(self, grid):
         if grid < 1:
             raise ValueError("grid must be >= 1")
-        snapped = Fraction(round(self.period * grid), grid)
-        if snapped <= 0:
-            raise ValueError("quantized cycle_period must be > 0")
-        self._set_period(snapped)
-
-    def _set_period(self, new):
+        # Fraction rounds half to even.
+        new = Fraction(round(self.period * ratio * grid), grid)
+        if new <= 0:
+            raise ValueError("adjusted cycle_period must be > 0")
         self.offset += self.count * (self.period - new)
         self.period = new
 
@@ -185,16 +182,15 @@ steps = st.lists(
         st.tuples(st.just("tick"), st.integers(-1, BIG)),
         st.tuples(st.just("adjust_offset"), values),
         st.tuples(st.just("set_time"), values),
-        st.tuples(st.just("adjust_rate"), ratios),
-        st.tuples(st.just("quantize_period"), grids),
+        st.tuples(st.just("adjust_rate"), ratios, grids),
     ),
     max_size=25,
 )
 
 
-def _outcome(fn, arg):
+def _outcome(fn, *args):
     try:
-        fn(arg)
+        fn(*args)
     except (ValueError, ZeroDivisionError) as exc:
         return type(exc)
     return None
@@ -228,9 +224,9 @@ class TestScaledIntegerClock:
         clock = EphcClock(cycle_period=period, offset=offset, cycle_count=count)
         model = FractionClock(period, offset, count)
         _assert_matches(clock, model, times)
-        for op, arg in program:
-            expected = _outcome(getattr(model, op), arg)
-            assert _outcome(getattr(clock, op), arg) is expected
+        for op, *args in program:
+            expected = _outcome(getattr(model, op), *args)
+            assert _outcome(getattr(clock, op), *args) is expected
             _assert_matches(clock, model, times)
 
     @pytest.mark.parametrize("period", [0, -1, 0.0, Fraction(-1, 3)])
@@ -251,19 +247,22 @@ class TestScaledIntegerClock:
     def test_quantize_ties_to_even(self):
         c = EphcClock(cycle_period=Fraction(5, 4), cycle_count=8)
         before = c.now_exact()
-        c.quantize_period(2)  # 2.5 -> 2
+        c.adjust_rate(1, 2)  # 2.5 -> 2
         assert c.cycle_period == 1
         assert c.now_exact() == before
+        c = EphcClock(cycle_period=Fraction(3, 4))
+        c.adjust_rate(1, 2)  # 1.5 -> 2
+        assert c.cycle_period == 1
 
     def test_quantize_to_zero_rejected(self):
         c = EphcClock(cycle_period=Fraction(1, 10), offset=7, cycle_count=3)
         with pytest.raises(ValueError):
-            c.quantize_period(1)
+            c.adjust_rate(1, 1)
         assert c == EphcClock(cycle_period=Fraction(1, 10), offset=7, cycle_count=3)
 
     def test_numpy_integer_arguments(self):
         c = EphcClock(cycle_period=np.int64(3), cycle_count=2)
-        c.adjust_offset(np.int64(-4)).set_time(np.int64(10)).adjust_rate(np.int64(2))
+        c.adjust_offset(np.int64(-4)).set_time(np.int64(10)).adjust_rate(np.int64(2), 1)
         assert c == EphcClock(cycle_period=6, offset=-2, cycle_count=2)
         assert target_counter(c, np.int64(16)) == 3
 

@@ -125,6 +125,22 @@ class TestCli:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert not (tmp_path / "ptp_trace.csv").exists()
 
+    @pytest.mark.parametrize("override", [
+        "sync_interval: 0",
+        "filter_window: 0",
+        "error_model: {g_master: -1}",
+        "rounds: 0",
+        "rounds: -3",
+    ])
+    def test_ptp_study_bad_value_exit_2(self, tmp_path, override):
+        cfg = tmp_path / "ptp.yaml"
+        cfg.write_text(f"kind: ptp\n{override}\n")
+        res = self.run_cli("ptp-study", str(cfg), "--out-dir", str(tmp_path))
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "ptp_trace.csv").exists()
+
     def test_sweep(self, tmp_path):
         cfg = tmp_path / "sweep.yaml"
         cfg.write_text("kind: sweep\nutilizations: [0.05, 0.10]\n"

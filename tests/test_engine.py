@@ -16,6 +16,7 @@ from pacersim import (
     run,
     step_gate_bridge,
 )
+from pacersim import engine
 from pacersim.engine import (
     _build_ring,
     read_metrics_csv,
@@ -23,6 +24,7 @@ from pacersim.engine import (
     write_summary_csv,
 )
 from pacersim.errors import InsufficientSamples, ValidationError
+from pacersim.traffic import RtQueue
 
 RT = 1
 
@@ -98,6 +100,20 @@ class TestTiedHandoffs:
         assert [(r.flow_id, r.seq) for r in res.records[:4]] == \
             [(1, 0), (2, 0), (1, 1), (2, 1)]
         assert all(r.send_time == r.scheduled_time for r in res.records)
+
+
+class TestDropCounts:
+    def test_queue_full_counted_once(self, monkeypatch):
+        # With room for one queued packet, the second of two hand-offs in one
+        # slot is dropped as QueueFull.
+        monkeypatch.setattr(engine, "RtQueue", lambda capacity: RtQueue(capacity=1))
+        flows = [FlowDef(flow_id=1, traffic_class=1, period=19_200, phase=38_400,
+                         payload_len=200),
+                 FlowDef(flow_id=2, traffic_class=2, period=19_200, phase=38_400,
+                         payload_len=200)]
+        res = run(base_scenario(flows=flows, duration=400_000))
+        assert res.report.drop_causes.get("QueueFull", 0) > 0
+        assert res.report.dropped == sum(res.report.drop_causes.values())
 
 
 class TestIsolation:

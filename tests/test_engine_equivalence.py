@@ -97,7 +97,6 @@ def reference_run(scenario):
 
         while pending_idx < len(pending) and pending[pending_idx][0] <= now:
             if not rt.enqueue(pending[pending_idx][2]):
-                report.dropped += 1
                 report._count_drop("QueueFull")
             pending_idx += 1
         if scenario.be_loads:

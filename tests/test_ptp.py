@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacersim import (
+    EphcClock,
     PacersimError,
     PtpConfig,
     PtpErrorModel,
@@ -265,13 +266,27 @@ class TestServoEquivalence:
         (DEFAULT, 100_000_000, -0.731),
         (HARDWARE, 10_000_000, 0.377),
     ], ids=["zero", "default", "hardware"])
-    def test_matches_fraction_oracle(self, model, interval, ppm, filtered, rounds):
+    def test_matches_fraction_oracle(self, model, interval, ppm, filtered, rounds,
+                                     monkeypatch):
+        # The clock's size after every rate step: one step per round after the
+        # first, and a denominator that does not grow with the round count.
+        den_bits = []
+        adjust_rate = EphcClock.adjust_rate
+
+        def watched(clock, ratio, grid):
+            adjust_rate(clock, ratio, grid)
+            den_bits.append(clock._den.bit_length())
+            return clock
+
+        monkeypatch.setattr(EphcClock, "adjust_rate", watched)
         cfg = PtpConfig(sync_interval=interval, network_delay=23_456,
                         initial_freq_offset_ppm=ppm, rounds=rounds, rng_seed=rounds + 7)
         got = run_sync_sim(cfg, model, filtered)
         want = oracle_sync_sim(cfg, model, filtered, SyncTrace())
         assert len(got.offset_error) == rounds
         assert _bits(got) == _bits(want)
+        assert len(den_bits) == max(rounds - 1, 0)
+        assert max(den_bits, default=0) <= 128
 
     @pytest.mark.parametrize("model", [DEFAULT, HARDWARE])
     def test_window_one_matches_oracle(self, model):
