@@ -201,7 +201,7 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
     trace = SyncTrace()
     history: list[float] = []
     prev_t1 = prev_t2 = None
-    prev_residual = None  # (numerator, denominator) of S(t) - t after the last round
+    prev_residual = None  # numerator over den of S(t) - t after the last round
     clean_streak = 0
     draws = []
 
@@ -234,11 +234,8 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
         if prev_residual is None:
             trace.drift_error.append(0.0)
         else:
-            pn, pd = prev_residual
-            if pd == den:
-                trace.drift_error.append((true_num - pn) / den)
-            else:
-                trace.drift_error.append((true_num * pd - pn * den) / (den * pd))
+            # Only tick() runs between the two readings, so den is unchanged.
+            trace.drift_error.append((true_num - prev_residual) / den)
 
         slave.adjust_offset(-est)
 
@@ -259,7 +256,7 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
 
         prev_t1, prev_t2 = t1, t2
         n, den = slave.time_at(t_recv)
-        prev_residual = (n - t_recv * den, den)
+        prev_residual = n - t_recv * den
 
         if abs(trace.offset_error[-1]) <= 2 * dts:
             clean_streak += 1
