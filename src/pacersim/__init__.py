@@ -12,7 +12,6 @@ from .engine import (
     inter_arrival_jitter,
     pdv,
     run,
-    step_gate_bridge,
 )
 from .errors import (
     DegenerateInterval,

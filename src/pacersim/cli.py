@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import engine, scheduling
-from .config import SweepConfig, load_config
+from .config import load_config
 from .errors import PacersimError, ParseError, ValidationError
 from .ptp import run_sync_sim
 
@@ -37,10 +37,9 @@ def main():
               show_default=True, help="Directory for metrics.csv / summary.csv.")
 @click.option("--duration", type=int, default=None,
               help="Override the scenario duration, ns.")
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
 @click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv",
               show_default=True)
-def simulate(config_path, out_dir, duration, seed, fmt):
+def simulate(config_path, out_dir, duration, fmt):
     """Run a network scenario and write per-packet and per-flow CSVs."""
     import dataclasses
 
@@ -48,12 +47,8 @@ def simulate(config_path, out_dir, duration, seed, fmt):
         kind, scenario = load_config(config_path)
         if kind != "scenario":
             raise ValidationError(f"expected a scenario config, got kind {kind!r}")
-        if duration is not None or seed is not None:
-            scenario = dataclasses.replace(
-                scenario,
-                duration=duration if duration is not None else scenario.duration,
-                rng_seed=seed if seed is not None else scenario.rng_seed,
-            )
+        if duration is not None:
+            scenario = dataclasses.replace(scenario, duration=duration)
     except (ParseError, ValidationError) as exc:
         _fail_usage(exc)
     try:
@@ -74,7 +69,8 @@ def simulate(config_path, out_dir, duration, seed, fmt):
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".",
               show_default=True)
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the config seed.")
 @click.option("--unfiltered", is_flag=True,
               help="Disable the moving-average frequency filter.")
 def ptp_study(config_path, out_dir, seed, unfiltered):
@@ -139,20 +135,22 @@ def sweep_schedulability(config_path, out, jobs, seed):
             raise ValidationError(f"expected a sweep config, got kind {kind!r}")
     except (ParseError, ValidationError) as exc:
         _fail_usage(exc)
-    assert isinstance(cfg, SweepConfig)
     if jobs is not None:
         cfg.jobs = jobs
     if seed is not None:
         cfg.seed = seed
-    points = scheduling.sweep_schedulability(
-        cfg.utilizations,
-        instances_per_point=cfg.instances_per_point,
-        seed=cfg.seed,
-        timeout=cfg.timeout,
-        jobs=cfg.jobs,
-        num_slots=cfg.num_slots,
-        delta=cfg.delta,
-    )
+    try:  # each generated instance checks the ring geometry
+        points = scheduling.sweep_schedulability(
+            cfg.utilizations,
+            instances_per_point=cfg.instances_per_point,
+            seed=cfg.seed,
+            timeout=cfg.timeout,
+            jobs=cfg.jobs,
+            num_slots=cfg.num_slots,
+            delta=cfg.delta,
+        )
+    except ValidationError as exc:
+        _fail_usage(exc)
     lines = ["utilization,feasible,infeasible,timeout,fraction"]
     for p in points:
         lines.append(f"{p.utilization},{p.feasible},{p.infeasible},"

@@ -2,8 +2,10 @@
 
 A config file is a single YAML document with a ``kind`` key selecting what
 it describes: ``scenario`` (a network simulation), ``ptp`` (a clock
-synchronization study) or ``sweep`` (a schedulability sweep). Unknown keys
-are rejected so typos fail loudly rather than falling back to defaults.
+synchronization study) or ``sweep`` (a schedulability sweep). Each mapping
+fills one dataclass, whose fields give its keys, required keys, defaults and
+value types (see ``_build``). Unknown keys are rejected so typos fail loudly
+rather than falling back to defaults.
 
 A document that is a JSON object is read with the ``json`` module, as YAML
 1.2 reads JSON, and PyYAML is imported only for other documents: it is far
@@ -13,14 +15,30 @@ slower and larger, and its YAML 1.1 rules read some JSON numbers, such as
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import math
+import typing
 from dataclasses import dataclass
 
 from .engine import BeLoad, Bridge, FlowDef, GateWindow, Scenario
-from .errors import ParseError, ValidationError
+from .errors import PacersimError, ParseError, ValidationError
 from .insertion import InsertMode
 from .ptp import PtpConfig, PtpErrorModel
 from .ring import RingConfig
+
+#: The error model of a ptp config that gives none: software timestamps.
+SOFTWARE_TIMESTAMPS = {"g_master": 2400, "g_slave": 2400, "j_master_in": 1000,
+                       "j_master_out": 1000, "j_slave_in": 1000, "j_slave_out": 1000}
+
+
+def _finite(value) -> bool:
+    """A finite int or float (not a bool); an int must fit in a float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -33,17 +51,77 @@ class SweepConfig:
     num_slots: int = 32
     delta: int = 10_000
 
+    def __post_init__(self):
+        for u in self.utilizations:
+            if not _finite(u):
+                raise ValidationError(f"utilizations must be finite numbers, got {u!r:.40}")
 
-def _require(mapping: dict, key, where: str):
-    if key not in mapping:
-        raise ValidationError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+
+def _check(value, hint, where: str, name=None):
+    """``value`` if it has the field type ``hint``, else a ValidationError
+    naming ``where`` and ``name``. An int is not a bool, a float is a finite
+    int or float, and Optional[X], held as (X, NoneType), also takes None."""
+    if hint is int:
+        ok = type(value) is int
+    elif hint is float:
+        ok = _finite(value)
+    elif type(hint) is tuple:
+        return None if value is None else _check(value, hint[0], where, name)
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        kind = "a finite number" if hint is float else hint.__name__
+        at = where if name is None else f"{where}.{name}"
+        raise ValidationError(f"{at} must be {kind}, got {value!r:.40}")
+    return value
 
 
-def _check_keys(mapping: dict, allowed, where: str):
-    extra = set(mapping) - set(allowed)
-    if extra:
-        raise ValidationError(f"{where}: unknown key(s) {sorted(extra)}")
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name -> type, required names) of the fields a config mapping sets."""
+    hints = {name: typing.get_args(h) if typing.get_origin(h) is typing.Union else h
+             for name, h in typing.get_type_hints(cls).items()}
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    missing = dataclasses.MISSING
+    return ({f.name: hints[f.name] for f in fields},
+            {f.name for f in fields if f.default is missing and f.default_factory is missing})
+
+
+def _build(cls, mapping, where: str, **converted):
+    """``cls`` from a config mapping, each value checked against its field.
+
+    ``converted`` replaces what a mapping cannot hold as is: nested objects,
+    integer keys, enum names. A constructor's ValueError or PacersimError
+    becomes a ValidationError."""
+    types, required = _fields(cls)
+    kwargs = {**_check(mapping, dict, where), **converted}
+    if not kwargs.keys() <= types.keys():
+        unknown = sorted(map(str, kwargs.keys() - types.keys()))
+        raise ValidationError(f"{where}: unknown key(s) {unknown}")
+    if not required <= kwargs.keys():
+        raise ValidationError(f"{where}: missing required key(s) {sorted(required - kwargs.keys())}")
+    for name, value in kwargs.items():
+        hint = types[name]
+        if type(value) is not hint or hint is float:  # else nothing to check
+            _check(value, hint, where, name)
+    try:
+        return cls(**kwargs)
+    except (ValueError, PacersimError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _int_keys(mapping, where: str, value_type) -> dict:
+    """``mapping`` with integer keys (a JSON object's keys are strings)."""
+    out = {}
+    for key, value in _check(mapping, dict, where).items():
+        try:
+            n = int(key) if type(key) is str else key
+        except ValueError:
+            n = None
+        if type(n) is not int:
+            raise ValidationError(f"{where}: key {key!r:.40} is not an integer")
+        out[n] = _check(value, value_type, where, key)
+    return out
 
 
 def _load_yaml(text: str):
@@ -70,144 +148,56 @@ def _load_yaml(text: str):
     return doc
 
 
-def _parse_ring(d: dict) -> RingConfig:
-    _check_keys(d, ["num_slots", "slot_size", "batch_size", "polling_period",
-                    "polling_overhead", "line_rate", "wire_overhead"], "ring")
-    return RingConfig(
-        num_slots=_require(d, "num_slots", "ring"),
-        slot_size=_require(d, "slot_size", "ring"),
-        batch_size=d.get("batch_size", 1),
-        polling_period=d.get("polling_period", 0),
-        polling_overhead=d.get("polling_overhead", 0),
-        line_rate=d.get("line_rate", 1_000_000_000),
-        wire_overhead=d.get("wire_overhead", 0),
-    )
-
-
 def _parse_scenario(doc: dict) -> Scenario:
-    _check_keys(doc, ["kind", "ring", "duration", "flows", "be_loads", "bridges",
-                      "propagation", "mode", "release_delta", "ownership",
-                      "rng_seed"], "scenario")
-    ring = _parse_ring(_require(doc, "ring", "scenario"))
+    ring = _check(doc.get("ring"), dict, "scenario.ring")
     flows = []
-    for i, fd in enumerate(doc.get("flows", [])):
-        where = f"flows[{i}]"
-        _check_keys(fd, ["flow_id", "traffic_class", "period", "phase",
-                         "payload_len", "count", "late_by"], where)
-        flows.append(FlowDef(
-            flow_id=fd.get("flow_id", i + 1),
-            traffic_class=_require(fd, "traffic_class", where),
-            period=_require(fd, "period", where),
-            phase=fd.get("phase", 0),
-            payload_len=_require(fd, "payload_len", where),
-            count=fd.get("count"),
-            late_by={int(k): v for k, v in (fd.get("late_by") or {}).items()},
-        ))
-    be_loads = []
-    for i, bd in enumerate(doc.get("be_loads", [])):
-        _check_keys(bd, ["traffic_class", "payload_len"], f"be_loads[{i}]")
-        be_loads.append(BeLoad(
-            traffic_class=bd.get("traffic_class", 0),
-            payload_len=bd.get("payload_len", 64),
-        ))
+    for i, fd in enumerate(_check(doc.get("flows", []), list, "scenario.flows")):
+        where = f"scenario.flows[{i}]"
+        fd = {"flow_id": i + 1, "phase": 0, **_check(fd, dict, where)}
+        flows.append(_build(FlowDef, fd, where, late_by=_int_keys(
+            fd.get("late_by", {}), f"{where}.late_by", int)))
+    be_loads = [_build(BeLoad, bd, f"scenario.be_loads[{i}]") for i, bd in
+                enumerate(_check(doc.get("be_loads", []), list, "scenario.be_loads"))]
     bridges = []
-    for i, brd in enumerate(doc.get("bridges", [])):
-        where = f"bridges[{i}]"
-        _check_keys(brd, ["name", "forward_delay", "gates"], where)
-        gates = {}
-        for fid, g in (brd.get("gates") or {}).items():
-            _check_keys(g, ["offset", "width", "cycle"], f"{where}.gates[{fid}]")
-            gates[int(fid)] = GateWindow(
-                offset=_require(g, "offset", where),
-                width=_require(g, "width", where),
-                cycle=_require(g, "cycle", where),
-            )
-        bridges.append(Bridge(
-            name=brd.get("name", f"bridge{i}"),
-            forward_delay=brd.get("forward_delay", 0),
-            gates=gates,
-        ))
-    mode_name = doc.get("mode", "strict")
-    try:
-        mode = InsertMode[mode_name.upper()]
-    except KeyError:
-        raise ValidationError(f"scenario: mode must be strict or relaxed, got {mode_name!r}")
+    for i, brd in enumerate(_check(doc.get("bridges", []), list, "scenario.bridges")):
+        where = f"scenario.bridges[{i}]"
+        brd = {"name": f"bridge{i}", **_check(brd, dict, where)}
+        gates = _int_keys(brd.get("gates", {}), f"{where}.gates", dict)
+        bridges.append(_build(Bridge, brd, where, gates={
+            fid: _build(GateWindow, g, f"{where}.gates.{fid}") for fid, g in gates.items()}))
+    mode = doc.get("mode", "strict")
+    if not (isinstance(mode, str) and mode.upper() in InsertMode.__members__):
+        raise ValidationError(f"scenario.mode must be strict or relaxed, got {mode!r:.40}")
     ownership = doc.get("ownership")
     if ownership is not None:
-        ownership = {int(k): v for k, v in ownership.items()}
-    return Scenario(
-        ring=ring,
-        duration=_require(doc, "duration", "scenario"),
-        flows=flows,
-        be_loads=be_loads,
-        bridges=bridges,
-        propagation=doc.get("propagation", 0),
-        mode=mode,
-        release_delta=doc.get("release_delta", 50_000),
-        ownership=ownership,
-        rng_seed=doc.get("rng_seed", 0),
-    )
+        ownership = _int_keys(ownership, "scenario.ownership", int)
+    return _build(Scenario, doc, "scenario",
+                  ring=_build(RingConfig, {"batch_size": 1, **ring}, "scenario.ring"),
+                  flows=flows, be_loads=be_loads, bridges=bridges,
+                  mode=InsertMode[mode.upper()], ownership=ownership)
 
 
 def _parse_ptp(doc: dict):
-    _check_keys(doc, ["kind", "sync_interval", "network_delay",
-                      "initial_freq_offset_ppm", "filter_window", "rounds",
-                      "rng_seed", "error_model"], "ptp")
+    model = _check(doc.pop("error_model", {}), dict, "ptp.error_model")
+    cfg = _build(PtpConfig, doc, "ptp")
     # A study reports its worst round, so it needs one; the library itself
     # accepts zero rounds.
-    rounds = doc.get("rounds", 1000)
-    if rounds < 1:
-        raise ValidationError(f"ptp: rounds must be >= 1, got {rounds!r}")
-    try:
-        cfg = PtpConfig(
-            sync_interval=doc.get("sync_interval", 100_000_000),
-            network_delay=doc.get("network_delay", 10_000),
-            initial_freq_offset_ppm=doc.get("initial_freq_offset_ppm", 1.0),
-            filter_window=doc.get("filter_window", 10),
-            rounds=rounds,
-            rng_seed=doc.get("rng_seed", 0),
-        )
-        em = doc.get("error_model", {})
-        _check_keys(em, ["g_master", "g_slave", "j_master_in", "j_master_out",
-                         "j_slave_in", "j_slave_out"], "error_model")
-        model = PtpErrorModel(
-            g_master=em.get("g_master", 2400),
-            g_slave=em.get("g_slave", 2400),
-            j_master_in=em.get("j_master_in", 1000),
-            j_master_out=em.get("j_master_out", 1000),
-            j_slave_in=em.get("j_slave_in", 1000),
-            j_slave_out=em.get("j_slave_out", 1000),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"ptp: {exc}") from exc
-    return cfg, model
-
-
-def _parse_sweep(doc: dict) -> SweepConfig:
-    _check_keys(doc, ["kind", "utilizations", "instances_per_point", "seed",
-                      "timeout", "jobs", "num_slots", "delta"], "sweep")
-    return SweepConfig(
-        utilizations=_require(doc, "utilizations", "sweep"),
-        instances_per_point=doc.get("instances_per_point", 64),
-        seed=doc.get("seed", 0),
-        timeout=doc.get("timeout", 10.0),
-        jobs=doc.get("jobs", 1),
-        num_slots=doc.get("num_slots", 32),
-        delta=doc.get("delta", 10_000),
-    )
+    if cfg.rounds < 1:
+        raise ValidationError(f"ptp: rounds must be >= 1, got {cfg.rounds!r}")
+    return cfg, _build(PtpErrorModel, {**SOFTWARE_TIMESTAMPS, **model}, "ptp.error_model")
 
 
 def parse_config(text: str):
     """Parse a YAML config; returns (kind, parsed object)."""
     doc = _load_yaml(text)
-    kind = _require(doc, "kind", "config")
+    kind = doc.pop("kind", None)
     if kind == "scenario":
         return kind, _parse_scenario(doc)
     if kind == "ptp":
         return kind, _parse_ptp(doc)
     if kind == "sweep":
-        return kind, _parse_sweep(doc)
-    raise ValidationError(f"unknown config kind {kind!r}")
+        return kind, _build(SweepConfig, doc, "sweep")
+    raise ValidationError(f"config: kind must be scenario, ptp or sweep, got {kind!r:.40}")
 
 
 def load_config(path: str):

@@ -45,6 +45,14 @@ class FlowDef:
     #: the scheduled slot is unchanged, so a strict ring drops the packet.
     late_by: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.period <= 0:
+            raise ValidationError(f"flow {self.flow_id}: period must be > 0")
+        if self.payload_len < 1:
+            raise ValidationError(f"flow {self.flow_id}: payload_len must be >= 1")
+        if self.count is not None and self.count < 0:
+            raise ValidationError(f"flow {self.flow_id}: count must be None or >= 0")
+
 
 @dataclass(frozen=True)
 class BeLoad:
@@ -53,6 +61,10 @@ class BeLoad:
 
     traffic_class: int = BEST_EFFORT
     payload_len: int = 64
+
+    def __post_init__(self):
+        if self.payload_len < 1:
+            raise ValidationError("best-effort payload_len must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,7 +87,7 @@ class Bridge:
     name: str
     forward_delay: int = 0  # ns added to every forwarded frame
     gates: dict = field(default_factory=dict)  # flow_id -> GateWindow
-    misses: int = 0
+    misses: int = field(default=0, init=False)  # frames held for a window
 
     def step(self, flow_id, arrival: int) -> int:
         """Departure time of a frame; late arrivals wait for the next window."""
@@ -90,13 +102,6 @@ class Bridge:
         return arrival + wait + self.forward_delay
 
 
-def step_gate_bridge(bridge: Bridge, flow_id, arrival: int) -> tuple[int, bool]:
-    """(departure, missed) for one frame through one bridge."""
-    before = bridge.misses
-    dep = bridge.step(flow_id, arrival)
-    return dep, bridge.misses > before
-
-
 @dataclass
 class Scenario:
     ring: RingConfig
@@ -108,11 +113,12 @@ class Scenario:
     mode: InsertMode = InsertMode.STRICT
     release_delta: int = 50_000
     ownership: Optional[dict] = None  # slot position -> traffic class
-    rng_seed: int = 0  # reserved for noisy extensions; the core engine is exact
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValidationError("duration must be > 0")
+        if self.release_delta < 0:
+            raise ValidationError("release_delta must be >= 0")
         classes = {f.traffic_class for f in self.flows}
         if BEST_EFFORT in classes:
             raise ValidationError("real-time flows may not use the best-effort class")

@@ -68,6 +68,8 @@ class PtpConfig:
             raise ValueError("network_delay must be >= 0")
         if self.filter_window < 1:
             raise ValueError("filter_window must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 def compute_offset(t1, t2, t3, t4):

@@ -121,9 +121,10 @@ def service(
     now = clock.now_exact() if len(rt) else None
     while len(rt):
         pkt = rt.peek()
-        c = target_counter(clock, pkt.scheduled_time)
-        lo, hi = ring.insertion_window()
-        due = c < hi or now >= pkt.scheduled_time - policy.release_delta
+        # The time test first: inside engine.run it always holds, so the
+        # counter is computed once per packet, in try_insert.
+        due = (now >= pkt.scheduled_time - policy.release_delta
+               or target_counter(clock, pkt.scheduled_time) < ring.insertion_window()[1])
         if not due:
             report.deferred = len(rt)
             break

@@ -6,12 +6,43 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacersim.cli import main
 from pacersim.config import parse_config
 from pacersim.errors import ParseError, ValidationError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUNDLED = ["back_to_back.yaml", "ptp_defaults.yaml", "sweep_default.yaml"]
+
+
+def bundled(name):
+    return yaml.safe_load(CONFIGS.joinpath(name).read_text())
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` (keys and indices) set."""
+    doc = list(doc) if isinstance(doc, list) else dict(doc)
+    key, rest = path[0], path[1:]
+    doc[key] = replaced(doc[key], rest, value) if rest else value
+    return doc
+
+
+def value_paths(doc, path=()):
+    """The path of every value in ``doc``, at any depth."""
+    items = enumerate(doc) if isinstance(doc, list) else \
+        doc.items() if isinstance(doc, dict) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from value_paths(value, path + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
 
 
 class TestParseConfig:
@@ -53,8 +84,7 @@ class TestParseConfig:
             parse_config("kind: scenario\nduration: 1\noops: 2\n"
                          "ring: {num_slots: 4, slot_size: 300}\n")
 
-    @pytest.mark.parametrize("name", ["back_to_back.yaml", "ptp_defaults.yaml",
-                                      "sweep_default.yaml"])
+    @pytest.mark.parametrize("name", BUNDLED)
     def test_json_document_parses_as_its_yaml(self, name):
         text = CONFIGS.joinpath(name).read_text()
         as_json = json.dumps(yaml.safe_load(text), indent=1)
@@ -64,6 +94,18 @@ class TestParseConfig:
         kind, sc = parse_config("{kind: scenario, duration: 1000, "
                                 "ring: {num_slots: 4, slot_size: 300}}")
         assert (kind, sc.duration, sc.ring.num_slots) == ("scenario", 1000, 4)
+
+    @given(data=st.data(), as_json=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_replaced_value_parses_or_is_named(self, data, as_json):
+        doc = bundled(data.draw(st.sampled_from(BUNDLED)))
+        path = data.draw(st.sampled_from(list(value_paths(doc))))
+        doc = replaced(doc, path, data.draw(json_values))
+        text = json.dumps(doc) if as_json else yaml.safe_dump(doc)
+        try:
+            parse_config(text)
+        except (ParseError, ValidationError):
+            pass
 
     def test_yaml_error_carries_location(self):
         with pytest.raises(ParseError) as ei:
@@ -157,6 +199,36 @@ class TestCli:
         cfg.write_text("kind: scenario\nring: {num_slots: 4, slot_size: 300}\n")
         res = self.run_cli("simulate", str(cfg))
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("command, name, path, value", [
+        ("simulate", "back_to_back.yaml", ("ring", "num_slots"), 0),
+        ("simulate", "back_to_back.yaml", ("ring", "num_slots"), 8.0),
+        ("simulate", "back_to_back.yaml", ("duration",), "100"),
+        ("simulate", "back_to_back.yaml", ("flows",), 3),
+        ("simulate", "back_to_back.yaml", ("ownership",), {"x": 1}),
+        ("simulate", "back_to_back.yaml", ("mode",), 5),
+        ("ptp-study", "ptp_defaults.yaml", ("rounds",), "5"),
+        ("ptp-study", "ptp_defaults.yaml", ("sync_interval",), "100"),
+        ("ptp-study", "ptp_defaults.yaml", ("initial_freq_offset_ppm",), float("nan")),
+        ("simulate", "back_to_back.yaml", ("flows", 0, "payload_len"), 0),
+        ("simulate", "back_to_back.yaml", ("release_delta",), -5),
+        ("sweep-schedulability", "sweep_default.yaml", ("utilizations",), ["a"]),
+        ("simulate", "back_to_back.yaml", ("be_loads", 0, "payload_len"), 0),
+        ("sweep-schedulability", "sweep_default.yaml", ("num_slots",), 0),
+        ("ptp-study", "ptp_defaults.yaml", ("rng_seed",), -1),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, command, name, path, value):
+        cfg = tmp_path / "bad.json"
+        # JSON, so NaN reaches the parser as the json module reads it.
+        cfg.write_text(json.dumps(replaced(bundled(name), path, value)))
+        out = tmp_path / "out"
+        dest = ["--out", str(out / "sweep.csv")] if command.startswith("sweep") \
+            else ["--out-dir", str(out)]
+        res = self.run_cli(command, str(cfg), *dest)
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert not out.exists()
 
     def test_unknown_flag_exit_2(self):
         res = self.run_cli("simulate", "--frobnicate")

@@ -14,7 +14,6 @@ from pacersim import (
     inter_arrival_jitter,
     pdv,
     run,
-    step_gate_bridge,
 )
 from pacersim import engine
 from pacersim.engine import (
@@ -146,20 +145,18 @@ class TestGateBridge:
 
     def test_arrival_at_window_start(self):
         b = Bridge("b0", gates={5: self.gate()})
-        dep, missed = step_gate_bridge(b, 5, 1000)
-        assert dep == 1000 and not missed
+        assert b.step(5, 1000) == 1000
+        assert b.misses == 0
 
     def test_just_after_close_held(self):
         b = Bridge("b0", gates={5: self.gate()})
-        dep, missed = step_gate_bridge(b, 5, 17_001)
-        assert missed
-        assert dep == 101_000  # next cycle's window start
+        assert b.step(5, 17_001) == 101_000  # next cycle's window start
         assert b.misses == 1
 
     def test_ungated_flow_passes(self):
         b = Bridge("b0", forward_delay=700)
-        dep, missed = step_gate_bridge(b, 9, 123)
-        assert (dep, missed) == (823, False)
+        assert b.step(9, 123) == 823
+        assert b.misses == 0
 
 
 class TestMultiHop:
@@ -213,6 +210,20 @@ class TestValidation:
             base_scenario(flows=[FlowDef(flow_id=1, traffic_class=0,
                                          period=19_200, phase=0,
                                          payload_len=64)])
+
+    @pytest.mark.parametrize("kw", [dict(period=0), dict(period=-19_200),
+                                    dict(payload_len=0), dict(count=-1)])
+    def test_flow_range_rejected(self, kw):
+        # A zero period never reaches the duration: run would grow memory
+        # without bound, so the flow is refused where it is built.
+        args = dict(flow_id=1, traffic_class=RT, period=19_200, phase=0,
+                    payload_len=64)
+        with pytest.raises(ValidationError, match=next(iter(kw))):
+            FlowDef(**{**args, **kw})
+
+    def test_negative_release_delta_rejected(self):
+        with pytest.raises(ValidationError, match="release_delta"):
+            base_scenario(release_delta=-5)
 
 
 class TestBestEffortLoads:
