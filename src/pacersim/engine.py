@@ -2,11 +2,12 @@
 
 The transmit side is modeled one slot at a time, and a slot is one ring
 call: ``DmaRing.transmit_slot`` puts the frame at the consumer on the wire,
-reclaims it and tops the ring up with placeholders. Real-time packets whose
-hand-off time has come are then queued, and ``traffic.service`` inserts them
-only in slots where the real-time queue holds packets. Each saturating
-best-effort load arms every placeholder its class owns in the insertion
-window (``DmaRing.fill_placeholders``). Valid real-time frames then traverse
+reclaims it and tops the ring up with placeholders. The real-time packets
+due in the slot then go straight to ``insertion.try_insert``, in an order
+worked out once per run; no queue and no ``traffic.service`` call sit
+between the application and the ring. Each saturating best-effort load
+arms every placeholder its class owns in the insertion window
+(``DmaRing.fill_placeholders``). Valid real-time frames then traverse
 an optional chain of store-and-forward bridges with time gates before
 reaching the receiver; best-effort frames are counted.
 
@@ -18,22 +19,23 @@ timestamps and exactly zero delay variation.
 from __future__ import annotations
 
 import csv
-import math
+import heapq
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .clock import EphcClock
-from .errors import InsufficientSamples, ValidationError
-from .insertion import InsertMode, OutboundPacket
+from .errors import InsertError, InsufficientSamples, ValidationError
+from .insertion import InsertMode, OutboundPacket, target_counter, try_insert
 from .ring import BEST_EFFORT, DmaRing, RingConfig
-from .traffic import BeQueue, RtQueue, ServicePolicy, ServiceReport, service
+from .traffic import ServiceReport
+from .traffic import service  # noqa: F401  pacerbench's tracer wraps engine.service
 
 
 @dataclass(frozen=True)
 class FlowDef:
-    """A periodic real-time flow released into the driver queue."""
+    """A periodic real-time flow handed off to the driver."""
 
     flow_id: int
     traffic_class: int
@@ -134,13 +136,16 @@ class Scenario:
             be_classes.add(load.traffic_class)
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     flow_id: int
-    seq: int
+    seq: int  # per-flow instance number
     scheduled_time: int
     send_time: int
     recv_time: int
+
+
+#: Builds a record from a field tuple without the keyword-handling __new__.
+_new_record = tuple.__new__
 
 
 @dataclass
@@ -199,44 +204,93 @@ def _build_ring(scenario: Scenario) -> DmaRing:
     return DmaRing(scenario.ring, ownership=ownership)
 
 
-def run(scenario: Scenario) -> SimResult:
-    ring = _build_ring(scenario)
-    delta = ring.config.wire_time
-    if delta.denominator != 1:
-        raise ValidationError("slot wire time must be an integral nanosecond count")
-    delta = int(delta)
-    clock = EphcClock(cycle_period=Fraction(delta))
-    policy = ServicePolicy(release_delta=scenario.release_delta)
-    rt = RtQueue(capacity=1 << 20)
-    no_be = BeQueue()  # best-effort loads bypass service: see fill_placeholders
+#: Most real-time packets one run holds between hand-off and insertion;
+#: hand-offs beyond it are dropped as QueueFull. Nothing else bounds them.
+RT_QUEUE_CAPACITY = 1 << 20
 
-    # Hand-off timeline: (handoff_time, packet) sorted ascending.
-    pending = []
-    seq_counter = 0
+
+def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int,
+                 report: ServiceReport) -> list:
+    """(due slot, scheduled time, hand-off index, packet) in insertion order.
+
+    A packet is handed off in the first slot starting at or after its
+    hand-off time (slot 0 if that is at or before 0), and is due there unless
+    a negative ``late_by`` hands it off before its release time: then it waits
+    until that time, or until its counter enters the insertion window, whose
+    top after slot ``s`` is ``s + 1 + N``. A slot's due packets go earliest
+    deadline first, ties in hand-off order. A hand-off that finds
+    ``RT_QUEUE_CAPACITY`` packets waiting (its own slot's included) is dropped
+    as QueueFull, and ``report.deferred`` counts the packets still waiting
+    after the last slot that left any.
+    """
+    delta = int(clock.cycle_period)
+    release_delta = scenario.release_delta
+    handoffs = []
     for f in scenario.flows:
         k = 0
         while True:
             sched = f.phase + k * f.period
             if sched >= scenario.duration or (f.count is not None and k >= f.count):
                 break
-            handoff = max(0, sched - scenario.release_delta) + f.late_by.get(k, 0)
-            pkt = OutboundPacket(
-                flow_id=f.flow_id,
-                traffic_class=f.traffic_class,
-                payload_len=f.payload_len,
-                scheduled_time=sched,
-                seq=seq_counter,
-            )
-            seq_counter += 1
-            pending.append((handoff, k, pkt))
+            handoff = max(0, sched - release_delta) + f.late_by.get(k, 0)
+            # The frame carries its per-flow instance number as its seq.
+            pkt = OutboundPacket(flow_id=f.flow_id, traffic_class=f.traffic_class,
+                                 payload_len=f.payload_len, scheduled_time=sched,
+                                 seq=k)
+            handoffs.append((handoff, k, len(handoffs), pkt))
             k += 1
-    # Ties on (handoff, k) fall back to the wire seq, never to the packet.
-    pending.sort(key=lambda e: (e[0], e[1], e[2].seq))
-    seq_of = {pkt.seq: k for _, k, pkt in pending}
-    pending.append((math.inf, 0, None))  # sentinel: never due
-    pending_idx = 0
+    # Ties on (handoff, k) fall back to creation order, never to the packet.
+    handoffs.sort()
 
+    due = []
+    waiting = []  # due slots of the packets held past their hand-off slot
+    held = []  # (hand-off slot, due slot) of each of them
+    slot = leaving = -1  # leaving: the packets handed off and due in `slot`
+    for i, (handoff, _, _, pkt) in enumerate(handoffs):
+        at = -(-handoff // delta) if handoff > 0 else 0
+        if at >= steps:
+            break  # handed off after the last slot
+        if at != slot:
+            slot, leaving = at, 0
+            while waiting and waiting[0] < at:
+                heapq.heappop(waiting)
+        if len(waiting) + leaving >= RT_QUEUE_CAPACITY:
+            report._count_drop("QueueFull")
+            continue
+        sched = pkt.scheduled_time
+        if handoff < sched - release_delta:
+            release = -(-(sched - release_delta) // delta)
+            at = max(at, min(release, target_counter(clock, sched) - n))
+        if at == slot:
+            leaving += 1
+        else:
+            heapq.heappush(waiting, at)
+            held.append((slot, at))
+        if at < steps:
+            due.append((at, sched, i, pkt))
+    if held:
+        last = max(min(at, steps) for _, at in held) - 1
+        report.deferred = sum(1 for slot, at in held if slot <= last < at)
+    due.sort()
+    return due
+
+
+def run(scenario: Scenario) -> SimResult:
+    ring = _build_ring(scenario)
+    delta = ring.config.wire_time
+    if delta.denominator != 1:
+        raise ValidationError("slot wire time must be an integral nanosecond count")
+    delta = int(delta)
+    steps = scenario.duration // delta
+    # The ring's clock: counter c goes on the wire at c * delta. Only
+    # try_insert reads it, to map a scheduled time to its counter.
+    clock = EphcClock(cycle_period=Fraction(delta))
+    mode = scenario.mode
     report = ServiceReport()
+    due = _due_packets(scenario, clock, steps, ring.config.num_slots, report)
+    due.append((steps, 0, 0, None))  # sentinel: never due
+    due_idx = 0
+
     records: list[PacketRecord] = []
     be_payload = 0
     be_frames = 0
@@ -247,7 +301,7 @@ def run(scenario: Scenario) -> SimResult:
     transmit_slot = ring.transmit_slot
     fill_placeholders = ring.fill_placeholders
 
-    for step in range(scenario.duration // delta):
+    for step in range(steps):
         now = step * delta
         # The NIC transmits the frame at counter `step` during this slot.
         rec = transmit_slot()
@@ -260,18 +314,16 @@ def run(scenario: Scenario) -> SimResult:
                 for bridge in bridges:
                     arrival = bridge.step(rec.flow_id, arrival) + propagation
                 sched = rec.scheduled_time if rec.scheduled_time is not None else now
-                # Wire seq -> per-flow instance number, for readability.
-                records.append(PacketRecord(rec.flow_id, seq_of.get(rec.seq, rec.seq),
-                                            sched, now, arrival))
+                records.append(_new_record(PacketRecord, (
+                    rec.flow_id, rec.seq, sched, now, arrival)))
 
-        while pending[pending_idx][0] <= now:
-            if not rt.enqueue(pending[pending_idx][2]):
-                report._count_drop("QueueFull")
-            pending_idx += 1
-        if len(rt):
-            # The clock advances lazily: it reads `step` whenever service runs.
-            clock.tick(step - clock.cycle_count)
-            service(rt, no_be, ring, clock, policy, scenario.mode, report=report)
+        while due[due_idx][0] <= step:
+            try:
+                try_insert(ring, due[due_idx][3], clock, mode)
+                report.inserted_rt += 1
+            except InsertError as exc:
+                report._count_drop(type(exc).__name__)
+            due_idx += 1
         for cls, payload_len in be_loads:
             report.inserted_be += fill_placeholders(cls, payload_len)
 

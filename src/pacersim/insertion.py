@@ -21,7 +21,7 @@ from .errors import (
     OwnershipViolation,
     PayloadTooLarge,
 )
-from .ring import DmaRing, SlotState
+from .ring import Descriptor, DmaRing, SlotState
 
 
 @dataclass
@@ -61,26 +61,26 @@ def target_counter(clock: EphcClock, scheduled_time) -> int:
     return rel // (p * b) if rel >= 0 else -1
 
 
-def _arm(ring: DmaRing, counter: int, pkt: OutboundPacket) -> int:
-    d = ring.descriptor_at(counter)
+def _arm(d: Descriptor, pkt: OutboundPacket) -> None:
     d.state = SlotState.ARMED
     d.payload_len = pkt.payload_len  # padded to slot_size on the wire
     d.crc_valid = True
     d.scheduled_time = pkt.scheduled_time
     d.flow_id = pkt.flow_id
     d.seq = pkt.seq
-    return counter
 
 
-def _scan_window(ring: DmaRing, traffic_class: int) -> int:
-    # Earliest placeholder of the class in the window [lo, hi). The ring
-    # resumes from the class's scan cursor and stops at _reclaim_cursor + N:
-    # counters above that bound are still IN_FLIGHT, and reclaim only frees
-    # counters at or above the previous bound, so no placeholder lies below
-    # the cursor (see DmaRing). The result equals a full scan of [lo, hi).
-    c = ring.first_placeholder(traffic_class)
+def _arm_first(ring: DmaRing, pkt: OutboundPacket) -> int:
+    # Arm the earliest placeholder of the packet's class in the window
+    # [lo, hi). The ring resumes from the class's scan cursor and stops at
+    # _reclaim_cursor + N: counters above that bound are still IN_FLIGHT, and
+    # reclaim only frees counters at or above the previous bound, so no
+    # placeholder lies below the cursor (see DmaRing). The result equals a
+    # full scan of [lo, hi).
+    c = ring.first_placeholder(pkt.traffic_class)
     if c is None:
-        raise NoSlotAvailable(f"no placeholder owned by class {traffic_class} in window")
+        raise NoSlotAvailable(f"no placeholder owned by class {pkt.traffic_class} in window")
+    _arm(ring.descriptor_at(c), pkt)
     return c
 
 
@@ -113,10 +113,11 @@ def try_insert(
                 f"packet is class {pkt.traffic_class}"
             )
         else:
-            return _arm(ring, c, pkt)
+            _arm(d, pkt)
+            return c
     if mode is InsertMode.STRICT:
         raise err
-    return _arm(ring, _scan_window(ring, pkt.traffic_class), pkt)
+    return _arm_first(ring, pkt)
 
 
 def insert_best_effort(ring: DmaRing, pkt: OutboundPacket) -> int:
@@ -127,4 +128,4 @@ def insert_best_effort(ring: DmaRing, pkt: OutboundPacket) -> int:
         raise PayloadTooLarge(
             f"payload {pkt.payload_len} exceeds slot size {ring.config.slot_size}"
         )
-    return _arm(ring, _scan_window(ring, pkt.traffic_class), pkt)
+    return _arm_first(ring, pkt)

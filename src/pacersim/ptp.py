@@ -62,8 +62,10 @@ class PtpConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.sync_interval <= 0:
-            raise ValueError("sync_interval must be > 0")
+        # The slave's delay request leaves TURNAROUND_NS after each sync, so a
+        # shorter interval would send the next sync before it.
+        if self.sync_interval < TURNAROUND_NS:
+            raise ValueError(f"sync_interval must be >= {TURNAROUND_NS}")
         if self.network_delay < 0:
             raise ValueError("network_delay must be >= 0")
         if self.filter_window < 1:

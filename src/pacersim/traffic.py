@@ -121,8 +121,8 @@ def service(
     now = clock.now_exact() if len(rt) else None
     while len(rt):
         pkt = rt.peek()
-        # The time test first: inside engine.run it always holds, so the
-        # counter is computed once per packet, in try_insert.
+        # The time test first: when it holds, the counter is computed once
+        # per packet, in try_insert.
         due = (now >= pkt.scheduled_time - policy.release_delta
                or target_counter(clock, pkt.scheduled_time) < ring.insertion_window()[1])
         if not due:

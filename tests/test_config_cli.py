@@ -169,6 +169,8 @@ class TestCli:
 
     @pytest.mark.parametrize("override", [
         "sync_interval: 0",
+        "sync_interval: 1",
+        "sync_interval: 29999",
         "filter_window: 0",
         "error_model: {g_master: -1}",
         "rounds: 0",
@@ -182,6 +184,13 @@ class TestCli:
         assert "error:" in res.output
         assert isinstance(res.exception, SystemExit)
         assert not (tmp_path / "ptp_trace.csv").exists()
+
+    def test_ptp_study_shortest_sync_interval_runs(self, tmp_path):
+        cfg = tmp_path / "ptp.yaml"
+        cfg.write_text("kind: ptp\nsync_interval: 30000\nrounds: 20\n")
+        res = self.run_cli("ptp-study", str(cfg), "--out-dir", str(tmp_path))
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "ptp_trace.csv").exists()
 
     def test_sweep(self, tmp_path):
         cfg = tmp_path / "sweep.yaml"

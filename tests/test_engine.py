@@ -23,7 +23,6 @@ from pacersim.engine import (
     write_summary_csv,
 )
 from pacersim.errors import InsufficientSamples, ValidationError
-from pacersim.traffic import RtQueue
 
 RT = 1
 
@@ -105,7 +104,7 @@ class TestDropCounts:
     def test_queue_full_counted_once(self, monkeypatch):
         # With room for one queued packet, the second of two hand-offs in one
         # slot is dropped as QueueFull.
-        monkeypatch.setattr(engine, "RtQueue", lambda capacity: RtQueue(capacity=1))
+        monkeypatch.setattr(engine, "RT_QUEUE_CAPACITY", 1)
         flows = [FlowDef(flow_id=1, traffic_class=1, period=19_200, phase=38_400,
                          payload_len=200),
                  FlowDef(flow_id=2, traffic_class=2, period=19_200, phase=38_400,

@@ -1,12 +1,15 @@
 """engine.run against a copy of the per-slot loop it replaced.
 
 ``reference_run`` steps every slot through the decoupled ring API
-(``nic_consume(1)`` then ``poll_cycle()``), ticks the clock every slot, calls
-``service`` every slot and refills a best-effort queue with a new packet per
-free entry. ``engine.run`` makes a slot one ``transmit_slot`` call, services
-only when real-time packets are queued and fills best-effort placeholders in
-one pass. On the scenarios both support (at most one best-effort load, of
-class 0) they must agree on every result and on the exception raised.
+(``nic_consume(1)`` then ``poll_cycle()``), ticks the clock every slot, queues
+real-time hand-offs in an ``RtQueue``, calls ``traffic.service`` every slot
+and refills a best-effort queue with a new packet per free entry.
+``engine.run`` uses no queue and no ``service``: it makes a slot one
+``transmit_slot`` call, inserts the real-time packets due in the slot with
+``try_insert`` in an order worked out once per run, and fills best-effort
+placeholders in one pass. On the scenarios both support (at most one
+best-effort load, of class 0) they must agree on every result and on the
+exception raised, drop counts and the queue bound included.
 """
 
 import random
@@ -15,6 +18,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pacersim import engine
 from pacersim.clock import EphcClock
 from pacersim.engine import (
     BeLoad,
@@ -46,13 +50,13 @@ def reference_build_ring(scenario):
     return DmaRing(scenario.ring, ownership=ownership)
 
 
-def reference_run(scenario):
+def reference_run(scenario, capacity=1 << 20):
     """The per-slot loop: (records, report, be_frames, be_payload, gate_misses)."""
     ring = reference_build_ring(scenario)
     delta = int(ring.config.wire_time)
     clock = EphcClock(cycle_period=Fraction(delta))
     policy = ServicePolicy(release_delta=scenario.release_delta)
-    rt = RtQueue(capacity=1 << 20)
+    rt = RtQueue(capacity=capacity)
     be = BeQueue(capacity=1 << 20)
 
     pending = []
@@ -139,8 +143,13 @@ def random_scenario(seed):
     steps = rng.randint(1, 60)
     flows = []
     for fid in range(1, rng.randint(0, 3) + 1):
-        period = rng.choice([rng.randint(1, 4) * delta, rng.randint(delta // 2, 5 * delta)])
-        late = {rng.randint(0, 5): rng.randint(0, 6) * delta
+        # Periods below delta / 2 hand off several packets of a flow per slot.
+        period = rng.choice([rng.randint(1, 4) * delta, rng.randint(delta // 2, 5 * delta),
+                             rng.randint(delta // 8, delta // 2 - 1)])
+        # Late, early (before slot 0 or before the release time) and past
+        # the end of the run.
+        late = {rng.randint(0, 5): rng.choice([rng.randint(0, 6), rng.randint(-12, -1),
+                                               rng.randint(steps + 1, steps + 3)]) * delta
                 for _ in range(rng.randint(0, 2))}
         flows.append(FlowDef(
             flow_id=fid, traffic_class=rng.randint(1, 3), period=period,
@@ -172,6 +181,29 @@ def random_scenario(seed):
         ownership=ownership)
 
 
+def handoff_cases(scenario):
+    """The unusual hand-offs among the scenario's packets."""
+    delta = int(scenario.ring.wire_time)
+    release_delta = scenario.release_delta
+    cases = set()
+    for f in scenario.flows:
+        slots = []
+        for k, sched in enumerate(range(f.phase, scenario.duration, f.period)):
+            if f.count is not None and k >= f.count:
+                break
+            handoff = max(0, sched - release_delta) + f.late_by.get(k, 0)
+            if handoff < 0:
+                cases.add("hand-off before slot 0")
+            elif handoff < sched - release_delta:
+                cases.add("hand-off before its release time")
+            if handoff >= scenario.duration:
+                cases.add("hand-off after the run")
+            slots.append(max(0, -(-handoff // delta)))
+        if len(set(slots)) < len(slots):
+            cases.add("one flow's hand-offs in one slot")
+    return cases
+
+
 class TestAgainstPerSlotLoop:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -195,6 +227,7 @@ class TestAgainstPerSlotLoop:
                 seen.add("batch=N")
             if any(f.late_by for f in scenario.flows):
                 seen.add("late_by")
+            seen |= handoff_cases(scenario)
             if isinstance(got, type):
                 seen.add(got.__name__)
                 continue
@@ -204,8 +237,27 @@ class TestAgainstPerSlotLoop:
                 seen.add("gate misses")
             if be_frames and records:
                 seen.add("rt and be frames")
+            if report.deferred:
+                seen.add("held past its hand-off slot")
         assert causes >= {"OutOfWindow", "NoSlotAvailable", "OwnershipViolation",
                           "NotPlaceholder"}
         assert seen >= {("mode", InsertMode.STRICT), ("mode", InsertMode.RELAXED),
                         "N=1", "batch=N", "late_by", "PayloadTooLarge",
                         "gate misses", "rt and be frames"}
+        assert seen >= {"hand-off before slot 0", "hand-off before its release time",
+                        "hand-off after the run", "one flow's hand-offs in one slot",
+                        "held past its hand-off slot"}
+
+    def test_queue_bound_agrees(self, monkeypatch):
+        # The engine's bound and the oracle's queue capacity set to 1-3: the
+        # same hand-offs must be dropped as QueueFull, held packets included.
+        full = 0
+        for seed in range(400):
+            capacity = 1 + seed % 3
+            monkeypatch.setattr(engine, "RT_QUEUE_CAPACITY", capacity)
+            got = outcome(new_run, random_scenario(seed))
+            assert got == outcome(lambda sc: reference_run(sc, capacity),
+                                  random_scenario(seed)), seed
+            if not isinstance(got, type):
+                full += got[1].drop_causes.get("QueueFull", 0)
+        assert full
