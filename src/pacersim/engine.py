@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 from .clock import EphcClock
 from .errors import InsertError, InsufficientSamples, ValidationError
 from .insertion import InsertMode, OutboundPacket, target_counter, try_insert
-from .ring import BEST_EFFORT, DmaRing, RingConfig
+from .ring import BEST_EFFORT, DmaRing, RingConfig, _new_record
 from .traffic import ServiceReport
 from .traffic import service  # noqa: F401  pacerbench's tracer wraps engine.service
 
@@ -142,10 +142,6 @@ class PacketRecord(NamedTuple):
     scheduled_time: int
     send_time: int
     recv_time: int
-
-
-#: Builds a record from a field tuple without the keyword-handling __new__.
-_new_record = tuple.__new__
 
 
 @dataclass
