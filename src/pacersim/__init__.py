@@ -26,7 +26,6 @@ from .errors import (
     PacersimError,
     ParseError,
     PayloadTooLarge,
-    QueueFull,
     RingUnderrun,
     ServoDiverged,
     ValidationError,

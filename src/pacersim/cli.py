@@ -19,10 +19,7 @@ from .ptp import run_sync_sim
 
 
 def _fail_usage(exc) -> "NoReturn":
-    loc = ""
-    if isinstance(exc, ParseError) and exc.line is not None:
-        loc = f" (line {exc.line}, column {exc.column})"
-    click.echo(f"error: {exc}{loc}", err=True)
+    click.echo(f"error: {exc}", err=True)  # a ParseError names its location
     sys.exit(2)
 
 

@@ -4,12 +4,12 @@ The transmit side is modeled one slot at a time, and a slot is one ring
 call: ``DmaRing.transmit_slot`` puts the frame at the consumer on the wire,
 reclaims it and tops the ring up with placeholders. The real-time packets
 due in the slot then go straight to ``insertion.try_insert``, in an order
-worked out once per run; no queue and no ``traffic.service`` call sit
-between the application and the ring. Each saturating best-effort load
-arms every placeholder its class owns in the insertion window
-(``DmaRing.fill_placeholders``). Valid real-time frames then traverse
-an optional chain of store-and-forward bridges with time gates before
-reaching the receiver; best-effort frames are counted.
+one sort works out per run (``_due_packets``); no queue, capacity bound or
+``traffic.service`` call sits between the application and the ring. Each
+saturating best-effort load arms every placeholder its class owns in the
+insertion window (``DmaRing.fill_placeholders``). Valid real-time frames
+then traverse an optional chain of store-and-forward bridges with time
+gates before reaching the receiver; best-effort frames are counted.
 
 All times are integer nanoseconds (slot durations are integral for the
 supported frame sizes), so a noise-free scenario yields bit-identical
@@ -19,10 +19,10 @@ timestamps and exactly zero delay variation.
 from __future__ import annotations
 
 import csv
-import heapq
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .clock import EphcClock
@@ -200,70 +200,40 @@ def _build_ring(scenario: Scenario) -> DmaRing:
     return DmaRing(scenario.ring, ownership=ownership)
 
 
-#: Most real-time packets one run holds between hand-off and insertion;
-#: hand-offs beyond it are dropped as QueueFull. Nothing else bounds them.
-RT_QUEUE_CAPACITY = 1 << 20
-
-
 def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int,
                  report: ServiceReport) -> list:
-    """(due slot, scheduled time, hand-off index, packet) in insertion order.
+    """(due slot, scheduled time, hand-off, k, index, packet) in insertion order.
 
     A packet is handed off in the first slot starting at or after its
     hand-off time (slot 0 if that is at or before 0), and is due there unless
     a negative ``late_by`` hands it off before its release time: then it waits
     until that time, or until its counter enters the insertion window, whose
-    top after slot ``s`` is ``s + 1 + N``. A slot's due packets go earliest
-    deadline first, ties in hand-off order. A hand-off that finds
-    ``RT_QUEUE_CAPACITY`` packets waiting (its own slot's included) is dropped
-    as QueueFull, and ``report.deferred`` counts the packets still waiting
-    after the last slot that left any.
+    top after slot ``s`` is ``s + 1 + N``. One sort puts the packets earliest
+    deadline first within a slot, ties in hand-off order. ``report.deferred``
+    counts the packets still waiting after the last slot that left any.
     """
     delta = int(clock.cycle_period)
     release_delta = scenario.release_delta
-    handoffs = []
-    for f in scenario.flows:
-        k = 0
-        while True:
-            sched = f.phase + k * f.period
-            if sched >= scenario.duration or (f.count is not None and k >= f.count):
-                break
-            handoff = max(0, sched - release_delta) + f.late_by.get(k, 0)
-            # The frame carries its per-flow instance number as its seq.
-            pkt = OutboundPacket(flow_id=f.flow_id, traffic_class=f.traffic_class,
-                                 payload_len=f.payload_len, scheduled_time=sched,
-                                 seq=k)
-            handoffs.append((handoff, k, len(handoffs), pkt))
-            k += 1
-    # Ties on (handoff, k) fall back to creation order, never to the packet.
-    handoffs.sort()
-
     due = []
-    waiting = []  # due slots of the packets held past their hand-off slot
-    held = []  # (hand-off slot, due slot) of each of them
-    slot = leaving = -1  # leaving: the packets handed off and due in `slot`
-    for i, (handoff, _, _, pkt) in enumerate(handoffs):
-        at = -(-handoff // delta) if handoff > 0 else 0
-        if at >= steps:
-            break  # handed off after the last slot
-        if at != slot:
-            slot, leaving = at, 0
-            while waiting and waiting[0] < at:
-                heapq.heappop(waiting)
-        if len(waiting) + leaving >= RT_QUEUE_CAPACITY:
-            report._count_drop("QueueFull")
-            continue
-        sched = pkt.scheduled_time
-        if handoff < sched - release_delta:
-            release = -(-(sched - release_delta) // delta)
-            at = max(at, min(release, target_counter(clock, sched) - n))
-        if at == slot:
-            leaving += 1
-        else:
-            heapq.heappush(waiting, at)
-            held.append((slot, at))
-        if at < steps:
-            due.append((at, sched, i, pkt))
+    held = []  # (hand-off slot, due slot) of the packets held past the first
+    for f in scenario.flows:
+        for k, sched in enumerate(islice(range(f.phase, scenario.duration, f.period),
+                                         f.count)):
+            handoff = max(0, sched - release_delta) + f.late_by.get(k, 0)
+            at = slot = -(-handoff // delta) if handoff > 0 else 0
+            if slot >= steps:
+                continue  # handed off after the last slot
+            if handoff < sched - release_delta:
+                release = -(-(sched - release_delta) // delta)
+                at = max(slot, min(release, target_counter(clock, sched) - n))
+                if at > slot:
+                    held.append((slot, at))
+            if at < steps:
+                # The frame carries its per-flow instance number as its seq;
+                # ties on (handoff, k) fall back to creation order.
+                due.append((at, sched, handoff, k, len(due), OutboundPacket(
+                    flow_id=f.flow_id, traffic_class=f.traffic_class,
+                    payload_len=f.payload_len, scheduled_time=sched, seq=k)))
     if held:
         last = max(min(at, steps) for _, at in held) - 1
         report.deferred = sum(1 for slot, at in held if slot <= last < at)
@@ -284,7 +254,7 @@ def run(scenario: Scenario) -> SimResult:
     mode = scenario.mode
     report = ServiceReport()
     due = _due_packets(scenario, clock, steps, ring.config.num_slots, report)
-    due.append((steps, 0, 0, None))  # sentinel: never due
+    due.append((steps,))  # sentinel: never due
     due_idx = 0
 
     records: list[PacketRecord] = []
@@ -309,13 +279,12 @@ def run(scenario: Scenario) -> SimResult:
                 arrival = now + delta + propagation
                 for bridge in bridges:
                     arrival = bridge.step(rec.flow_id, arrival) + propagation
-                sched = rec.scheduled_time if rec.scheduled_time is not None else now
                 records.append(_new_record(PacketRecord, (
-                    rec.flow_id, rec.seq, sched, now, arrival)))
+                    rec.flow_id, rec.seq, rec.scheduled_time, now, arrival)))
 
         while due[due_idx][0] <= step:
             try:
-                try_insert(ring, due[due_idx][3], clock, mode)
+                try_insert(ring, due[due_idx][5], clock, mode)
                 report.inserted_rt += 1
             except InsertError as exc:
                 report._count_drop(type(exc).__name__)

@@ -37,10 +37,6 @@ class NoSlotAvailable(InsertError):
     pass
 
 
-class QueueFull(PacersimError):
-    pass
-
-
 class DegenerateInterval(PacersimError):
     pass
 

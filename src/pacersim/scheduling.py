@@ -15,6 +15,7 @@ flows actually use.
 from __future__ import annotations
 
 import math
+import os
 import time
 from fractions import Fraction
 from dataclasses import dataclass
@@ -391,17 +392,24 @@ def sweep_schedulability(
 
     Instances at different utilizations share sub-seeds, so flow sets are
     nested across the sweep and the feasible fraction is non-increasing.
+    ``jobs`` must be >= 1; at most as many worker processes start as this
+    process may use CPUs, and one runs the sweep in-process.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, cpus)
     tasks = []
     for u in utilizations:
         params = GeneratorParams(utilization=u, seed=seed, num_slots=num_slots, delta=delta)
         for inst in generate_instances(params, instances_per_point):
             tasks.append((u, inst))
 
-    if jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             statuses = list(pool.map(_solve_one, [(i, timeout) for _, i in tasks], chunksize=4))
     else:
         statuses = [_solve_one((i, timeout)) for _, i in tasks]
@@ -453,7 +461,7 @@ def parse_instance_text(text: str) -> ProblemInstance:
                 )
             else:
                 raise ParseError(f"unknown record {parts[0]!r}", line=lineno, column=1)
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed {parts[0]!r} record: {exc}", line=lineno, column=1)
     if num_slots is None:
         raise ParseError("missing 'ring' record")

@@ -239,6 +239,39 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, name, text", [
+        ("schedule", "bogus.txt", "bogus 1 2\n"),
+        ("simulate", "bad.yaml", "ring: [1,\n"),
+    ])
+    def test_parse_error_location_printed_once(self, tmp_path, command, name, text):
+        src = tmp_path / name
+        src.write_text(text)
+        res = self.run_cli(command, str(src))
+        assert res.exit_code == 2, res.output
+        error = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert len(error) == 1 and error[0].count("(line ") == 1, res.output
+
+    @pytest.mark.parametrize("flow", ["flow 1 inf 1", "flow 1 10 1e400", "flow 1 -inf 1"])
+    def test_schedule_overflowing_number_exit_2(self, tmp_path, flow):
+        src = tmp_path / "inf.txt"
+        src.write_text(f"ring 4 10000\n{flow}\n")
+        res = self.run_cli("schedule", str(src))
+        assert res.exit_code == 2, res.output
+        assert "(line 2, column 1)" in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_sweep_jobs_below_one_exit_2(self, tmp_path, how):
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text("kind: sweep\nutilizations: [0.05]\ninstances_per_point: 1\n"
+                       + ("jobs: 0\n" if how == "config" else ""))
+        out = tmp_path / "sweep.csv"
+        flag = ["--jobs", "0"] if how == "flag" else []
+        res = self.run_cli("sweep-schedulability", str(cfg), "--out", str(out), *flag)
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "jobs" in res.output
+        assert not out.exists()
+
     def test_unknown_flag_exit_2(self):
         res = self.run_cli("simulate", "--frobnicate")
         assert res.exit_code == 2

@@ -15,7 +15,6 @@ from pacersim import (
     pdv,
     run,
 )
-from pacersim import engine
 from pacersim.engine import (
     _build_ring,
     read_metrics_csv,
@@ -99,19 +98,18 @@ class TestTiedHandoffs:
             [(1, 0), (2, 0), (1, 1), (2, 1)]
         assert all(r.send_time == r.scheduled_time for r in res.records)
 
-
-class TestDropCounts:
-    def test_queue_full_counted_once(self, monkeypatch):
-        # With room for one queued packet, the second of two hand-offs in one
-        # slot is dropped as QueueFull.
-        monkeypatch.setattr(engine, "RT_QUEUE_CAPACITY", 1)
-        flows = [FlowDef(flow_id=1, traffic_class=1, period=19_200, phase=38_400,
-                         payload_len=200),
-                 FlowDef(flow_id=2, traffic_class=2, period=19_200, phase=38_400,
-                         payload_len=200)]
-        res = run(base_scenario(flows=flows, duration=400_000))
-        assert res.report.drop_causes.get("QueueFull", 0) > 0
-        assert res.report.dropped == sum(res.report.drop_causes.values())
+    def test_equal_deadlines_go_in_hand_off_order(self):
+        # Flow 2's instance 1 and flow 1's late instance 0 share a scheduled
+        # time and a hand-off slot; the earlier hand-off takes the slot,
+        # whatever the instance numbers.
+        flows = [FlowDef(flow_id=1, traffic_class=RT, period=19_200, phase=48_000,
+                         payload_len=200, count=1, late_by={0: 500}),
+                 FlowDef(flow_id=2, traffic_class=RT, period=19_200, phase=28_800,
+                         payload_len=200, count=2)]
+        res = run(base_scenario(flows=flows, duration=200_000, release_delta=20_200))
+        assert [(r.flow_id, r.seq, r.send_time) for r in res.records] == \
+            [(2, 0, 28_800), (2, 1, 48_000)]
+        assert res.report.drop_causes == {"NotPlaceholder": 1}
 
 
 class TestIsolation:

@@ -2,14 +2,16 @@
 
 ``reference_run`` steps every slot through the decoupled ring API
 (``nic_consume(1)`` then ``poll_cycle()``), ticks the clock every slot, queues
-real-time hand-offs in an ``RtQueue``, calls ``traffic.service`` every slot
-and refills a best-effort queue with a new packet per free entry.
+real-time hand-offs in an ``RtQueue`` and calls ``traffic.service`` every
+slot: once with the real-time queue and the first best-effort load's queue,
+then once per further load, in load order, with an empty real-time queue.
+Each load's queue is refilled with a new packet per free entry.
 ``engine.run`` uses no queue and no ``service``: it makes a slot one
 ``transmit_slot`` call, inserts the real-time packets due in the slot with
-``try_insert`` in an order worked out once per run, and fills best-effort
-placeholders in one pass. On the scenarios both support (at most one
-best-effort load, of class 0) they must agree on every result and on the
-exception raised, drop counts and the queue bound included.
+``try_insert`` in an order one sort works out per run, and fills best-effort
+placeholders in one pass per load. For up to three loads, of any classes
+that no real-time flow uses, they must agree on every result and on the
+exception raised, drop counts included.
 """
 
 import random
@@ -18,7 +20,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacersim import engine
 from pacersim.clock import EphcClock
 from pacersim.engine import (
     BeLoad,
@@ -38,8 +39,7 @@ def reference_build_ring(scenario):
     ownership = scenario.ownership
     if ownership is None:
         classes = sorted({f.traffic_class for f in scenario.flows})
-        if scenario.be_loads:
-            classes.append(BEST_EFFORT)
+        classes += [load.traffic_class for load in scenario.be_loads]
         if classes:
             ownership = {
                 pos: classes[pos % len(classes)]
@@ -50,14 +50,17 @@ def reference_build_ring(scenario):
     return DmaRing(scenario.ring, ownership=ownership)
 
 
-def reference_run(scenario, capacity=1 << 20):
+def reference_run(scenario):
     """The per-slot loop: (records, report, be_frames, be_payload, gate_misses)."""
     ring = reference_build_ring(scenario)
     delta = int(ring.config.wire_time)
     clock = EphcClock(cycle_period=Fraction(delta))
     policy = ServicePolicy(release_delta=scenario.release_delta)
-    rt = RtQueue(capacity=capacity)
-    be = BeQueue(capacity=1 << 20)
+    rt = RtQueue(capacity=1 << 20)
+    no_rt = RtQueue()  # served with every load after the first
+    be_queues = [BeQueue(capacity=1 << 20) for _ in scenario.be_loads]
+    first_be, *later_be = be_queues or [BeQueue()]
+    be_classes = {load.traffic_class for load in scenario.be_loads}
 
     pending = []
     seq_counter = 0
@@ -88,7 +91,7 @@ def reference_run(scenario, capacity=1 << 20):
         for rec in ring.nic_consume(1):
             if not rec.crc_valid:
                 continue
-            if rec.owner_class == BEST_EFFORT:
+            if rec.owner_class in be_classes:
                 be_payload += rec.payload_len
                 be_frames += 1
                 continue
@@ -103,12 +106,13 @@ def reference_run(scenario, capacity=1 << 20):
             if not rt.enqueue(pending[pending_idx][2]):
                 report._count_drop("QueueFull")
             pending_idx += 1
-        if scenario.be_loads:
-            load = scenario.be_loads[0]
+        for load, be in zip(scenario.be_loads, be_queues):
             while len(be) < n:
                 be.enqueue(OutboundPacket(flow_id=-1, traffic_class=load.traffic_class,
                                           payload_len=load.payload_len))
-        service(rt, be, ring, clock, policy, scenario.mode, report=report)
+        service(rt, first_be, ring, clock, policy, scenario.mode, report=report)
+        for be in later_be:
+            service(no_rt, be, ring, clock, policy, scenario.mode, report=report)
         clock.tick()
 
     records = [PacketRecord(r.flow_id, seq_of.get(r.seq, r.seq), r.scheduled_time,
@@ -158,15 +162,19 @@ def random_scenario(seed):
             count=rng.choice([None, rng.randint(0, 8)]), late_by=late))
     be_loads = []
     if rng.random() < 0.6:
-        oversize = rng.random() < 0.05
-        be_loads.append(BeLoad(
-            payload_len=slot_size + 1 if oversize else rng.randint(1, slot_size)))
+        # One to three loads, on distinct classes that no real-time flow uses.
+        free = [c for c in range(6) if c not in {f.traffic_class for f in flows}]
+        for cls in rng.sample(free, rng.randint(1, 3)):
+            oversize = rng.random() < 0.05
+            be_loads.append(BeLoad(
+                traffic_class=cls,
+                payload_len=slot_size + 1 if oversize else rng.randint(1, slot_size)))
     ownership = None
     if rng.random() < 0.6:
-        # Explicit layouts: slots of class 0 or of another RT class, and
+        # Explicit layouts: slots of a best-effort or real-time class, and
         # classes that own no slot at all.
         owned = rng.sample(range(n), rng.randint(0, n))
-        ownership = {pos: rng.randint(0, 3) for pos in owned}
+        ownership = {pos: rng.randint(0, 5) for pos in owned}
     bridges = []
     for h in range(rng.randint(0, 2)):
         gates = {f.flow_id: GateWindow(offset=rng.randint(0, 4 * delta),
@@ -227,11 +235,16 @@ class TestAgainstPerSlotLoop:
                 seen.add("batch=N")
             if any(f.late_by for f in scenario.flows):
                 seen.add("late_by")
+            if len(scenario.be_loads) > 1:
+                seen.add("several loads")
+            if any(load.traffic_class != BEST_EFFORT for load in scenario.be_loads):
+                seen.add("load of a non-zero class")
             seen |= handoff_cases(scenario)
             if isinstance(got, type):
                 seen.add(got.__name__)
                 continue
             records, report, be_frames, _, gate_misses = got
+            assert report.dropped == sum(report.drop_causes.values()), seed
             causes |= set(report.drop_causes)
             if gate_misses:
                 seen.add("gate misses")
@@ -243,21 +256,8 @@ class TestAgainstPerSlotLoop:
                           "NotPlaceholder"}
         assert seen >= {("mode", InsertMode.STRICT), ("mode", InsertMode.RELAXED),
                         "N=1", "batch=N", "late_by", "PayloadTooLarge",
-                        "gate misses", "rt and be frames"}
+                        "gate misses", "rt and be frames", "several loads",
+                        "load of a non-zero class"}
         assert seen >= {"hand-off before slot 0", "hand-off before its release time",
                         "hand-off after the run", "one flow's hand-offs in one slot",
                         "held past its hand-off slot"}
-
-    def test_queue_bound_agrees(self, monkeypatch):
-        # The engine's bound and the oracle's queue capacity set to 1-3: the
-        # same hand-offs must be dropped as QueueFull, held packets included.
-        full = 0
-        for seed in range(400):
-            capacity = 1 + seed % 3
-            monkeypatch.setattr(engine, "RT_QUEUE_CAPACITY", capacity)
-            got = outcome(new_run, random_scenario(seed))
-            assert got == outcome(lambda sc: reference_run(sc, capacity),
-                                  random_scenario(seed)), seed
-            if not isinstance(got, type):
-                full += got[1].drop_causes.get("QueueFull", 0)
-        assert full

@@ -1,5 +1,7 @@
 """Partition scheduling: validation oracle, solver, generator, serialization."""
 
+import concurrent.futures
+import os
 import random
 
 import pytest
@@ -195,6 +197,53 @@ class TestSweep:
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestSweepJobs:
+    SMALL = dict(utilizations=[0.05, 0.2], instances_per_point=3, seed=1)
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "created", [])
+        return RecordingPool
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, pool, jobs):
+        with pytest.raises(ValidationError, match="jobs"):
+            sweep_schedulability(jobs=jobs, **self.SMALL)
+        assert pool.created == []
+
+    def test_workers_capped_at_usable_cpus(self, pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        serial = sweep_schedulability(jobs=1, **self.SMALL)
+        assert pool.created == []
+        assert sweep_schedulability(jobs=10**6, **self.SMALL) == serial
+        assert sweep_schedulability(jobs=2, **self.SMALL) == serial
+        assert pool.created == [3, 2]
+
+    def test_one_usable_cpu_runs_serially(self, pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        sweep_schedulability(jobs=4, **self.SMALL)
+        assert pool.created == []
+
+
 class TestTextFormat:
     def test_instance_roundtrip(self):
         inst = generate_instance(GeneratorParams(utilization=0.3, seed=8))
@@ -218,6 +267,10 @@ class TestTextFormat:
             parse_instance_text("flow 1 80 4 64\n")  # missing ring record
         with pytest.raises(ParseError):
             parse_instance_text("ring 32 10000\nbogus 1 2\n")
+        for flow in ("flow 1 inf 1", "flow 1 10 1e400"):  # no integer ns count
+            with pytest.raises(ParseError) as ei:
+                parse_instance_text(f"ring 32 10000\n{flow}\n")
+            assert ei.value.line == 2
 
     def test_validation_errors(self):
         with pytest.raises(ValidationError):
