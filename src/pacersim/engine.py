@@ -29,7 +29,7 @@ from .clock import EphcClock
 from .errors import InsertError, InsufficientSamples, ValidationError
 from .insertion import InsertMode, OutboundPacket, target_counter, try_insert
 from .ring import BEST_EFFORT, DmaRing, RingConfig, _new_record
-from .traffic import ServiceReport
+from .traffic import DEFAULT_RELEASE_DELTA, ServiceReport
 from .traffic import service  # noqa: F401  pacerbench's tracer wraps engine.service
 
 
@@ -82,26 +82,27 @@ class GateWindow:
             raise ValidationError("gate width must satisfy 0 < width <= cycle")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bridge:
     """Store-and-forward bridge applying a per-flow time gate on arrival."""
 
     name: str
     forward_delay: int = 0  # ns added to every forwarded frame
     gates: dict = field(default_factory=dict)  # flow_id -> GateWindow
-    misses: int = field(default=0, init=False)  # frames held for a window
+
+    def __post_init__(self):
+        if self.forward_delay < 0:
+            raise ValidationError("forward_delay must be >= 0")
 
     def step(self, flow_id, arrival: int) -> int:
-        """Departure time of a frame; late arrivals wait for the next window."""
+        """Departure time of a frame; one outside its gate window waits for the next."""
+        departure = arrival + self.forward_delay
         gate = self.gates.get(flow_id)
-        if gate is None:
-            return arrival + self.forward_delay
-        rel = (arrival - gate.offset) % gate.cycle
-        if rel < gate.width:
-            return arrival + self.forward_delay
-        self.misses += 1
-        wait = gate.cycle - rel
-        return arrival + wait + self.forward_delay
+        if gate is not None:
+            rel = (arrival - gate.offset) % gate.cycle
+            if rel >= gate.width:
+                departure += gate.cycle - rel
+        return departure
 
 
 @dataclass
@@ -113,7 +114,7 @@ class Scenario:
     bridges: list = field(default_factory=list)  # Bridge, traversed in order
     propagation: int = 0  # ns, link propagation per hop (hops = bridges + 1)
     mode: InsertMode = InsertMode.STRICT
-    release_delta: int = 50_000
+    release_delta: int = DEFAULT_RELEASE_DELTA
     ownership: Optional[dict] = None  # slot position -> traffic class
 
     def __post_init__(self):
@@ -121,6 +122,8 @@ class Scenario:
             raise ValidationError("duration must be > 0")
         if self.release_delta < 0:
             raise ValidationError("release_delta must be >= 0")
+        if self.propagation < 0:
+            raise ValidationError("propagation must be >= 0")
         classes = {f.traffic_class for f in self.flows}
         if BEST_EFFORT in classes:
             raise ValidationError("real-time flows may not use the best-effort class")
@@ -200,8 +203,7 @@ def _build_ring(scenario: Scenario) -> DmaRing:
     return DmaRing(scenario.ring, ownership=ownership)
 
 
-def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int,
-                 report: ServiceReport) -> list:
+def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int) -> list:
     """(due slot, scheduled time, hand-off, k, index, packet) in insertion order.
 
     A packet is handed off in the first slot starting at or after its
@@ -209,34 +211,27 @@ def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int,
     a negative ``late_by`` hands it off before its release time: then it waits
     until that time, or until its counter enters the insertion window, whose
     top after slot ``s`` is ``s + 1 + N``. One sort puts the packets earliest
-    deadline first within a slot, ties in hand-off order. ``report.deferred``
-    counts the packets still waiting after the last slot that left any.
+    deadline first within a slot, ties in hand-off order.
     """
     delta = int(clock.cycle_period)
     release_delta = scenario.release_delta
     due = []
-    held = []  # (hand-off slot, due slot) of the packets held past the first
     for f in scenario.flows:
         for k, sched in enumerate(islice(range(f.phase, scenario.duration, f.period),
                                          f.count)):
             handoff = max(0, sched - release_delta) + f.late_by.get(k, 0)
-            at = slot = -(-handoff // delta) if handoff > 0 else 0
-            if slot >= steps:
+            at = -(-handoff // delta) if handoff > 0 else 0  # hand-off slot
+            if at >= steps:
                 continue  # handed off after the last slot
             if handoff < sched - release_delta:
                 release = -(-(sched - release_delta) // delta)
-                at = max(slot, min(release, target_counter(clock, sched) - n))
-                if at > slot:
-                    held.append((slot, at))
+                at = max(at, min(release, target_counter(clock, sched) - n))
             if at < steps:
                 # The frame carries its per-flow instance number as its seq;
                 # ties on (handoff, k) fall back to creation order.
                 due.append((at, sched, handoff, k, len(due), OutboundPacket(
                     flow_id=f.flow_id, traffic_class=f.traffic_class,
                     payload_len=f.payload_len, scheduled_time=sched, seq=k)))
-    if held:
-        last = max(min(at, steps) for _, at in held) - 1
-        report.deferred = sum(1 for slot, at in held if slot <= last < at)
     due.sort()
     return due
 
@@ -253,17 +248,18 @@ def run(scenario: Scenario) -> SimResult:
     clock = EphcClock(cycle_period=Fraction(delta))
     mode = scenario.mode
     report = ServiceReport()
-    due = _due_packets(scenario, clock, steps, ring.config.num_slots, report)
+    due = _due_packets(scenario, clock, steps, ring.config.num_slots)
     due.append((steps,))  # sentinel: never due
     due_idx = 0
 
     records: list[PacketRecord] = []
     be_payload = 0
     be_frames = 0
+    gate_misses = 0
     be_loads = [(load.traffic_class, load.payload_len) for load in scenario.be_loads]
     be_classes = {cls for cls, _ in be_loads}
     propagation = scenario.propagation
-    bridges = scenario.bridges
+    hops = [(bridge.step, bridge.forward_delay) for bridge in scenario.bridges]
     transmit_slot = ring.transmit_slot
     fill_placeholders = ring.fill_placeholders
 
@@ -276,11 +272,15 @@ def run(scenario: Scenario) -> SimResult:
                 be_payload += rec.payload_len
                 be_frames += 1
             else:
+                flow_id = rec.flow_id
                 arrival = now + delta + propagation
-                for bridge in bridges:
-                    arrival = bridge.step(rec.flow_id, arrival) + propagation
+                for step_hop, forward_delay in hops:
+                    departure = step_hop(flow_id, arrival)
+                    if departure != arrival + forward_delay:
+                        gate_misses += 1  # held for its gate window
+                    arrival = departure + propagation
                 records.append(_new_record(PacketRecord, (
-                    rec.flow_id, rec.seq, rec.scheduled_time, now, arrival)))
+                    flow_id, rec.seq, rec.scheduled_time, now, arrival)))
 
         while due[due_idx][0] <= step:
             try:
@@ -295,7 +295,7 @@ def run(scenario: Scenario) -> SimResult:
     return SimResult(
         records=records,
         report=report,
-        gate_misses=sum(b.misses for b in scenario.bridges),
+        gate_misses=gate_misses,
         be_payload_bytes=be_payload,
         be_frames=be_frames,
         duration=scenario.duration,

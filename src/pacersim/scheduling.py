@@ -65,6 +65,8 @@ class ProblemInstance:
             h = hyperperiod(self.flows) if self.flows else ring_cycle
             self.horizon = math.lcm(h, ring_cycle)
         else:
+            if self.horizon <= 0:
+                raise ValidationError(f"horizon must be > 0, got {self.horizon}")
             if self.horizon % ring_cycle != 0:
                 raise ValidationError("horizon must be a multiple of N * delta")
             for f in self.flows:

@@ -92,7 +92,6 @@ class ServiceReport:
     inserted_rt: int = 0
     inserted_be: int = 0
     dropped: int = 0
-    deferred: int = 0
     drop_causes: dict = field(default_factory=dict)
 
     def _count_drop(self, cause: str):
@@ -126,7 +125,6 @@ def service(
         due = (now >= pkt.scheduled_time - policy.release_delta
                or target_counter(clock, pkt.scheduled_time) < ring.insertion_window()[1])
         if not due:
-            report.deferred = len(rt)
             break
         rt.pop()
         try:

@@ -225,6 +225,9 @@ class TestCli:
         ("simulate", "back_to_back.yaml", ("be_loads", 0, "payload_len"), 0),
         ("sweep-schedulability", "sweep_default.yaml", ("num_slots",), 0),
         ("ptp-study", "ptp_defaults.yaml", ("rng_seed",), -1),
+        # Negative delays would deliver frames before they are sent.
+        ("simulate", "back_to_back.yaml", ("propagation",), -5),
+        ("simulate", "back_to_back.yaml", ("bridges",), [{"forward_delay": -1000000}]),
     ])
     def test_malformed_config_exit_2(self, tmp_path, command, name, path, value):
         cfg = tmp_path / "bad.json"
@@ -258,6 +261,15 @@ class TestCli:
         res = self.run_cli("schedule", str(src))
         assert res.exit_code == 2, res.output
         assert "(line 2, column 1)" in res.output
+        assert isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("horizon", ["0", "-40000"])
+    def test_schedule_nonpositive_horizon_exit_2(self, tmp_path, horizon):
+        src = tmp_path / "inst.txt"
+        src.write_text(f"ring 4 10000 {horizon}\nflow 1 10 1\n")
+        res = self.run_cli("schedule", str(src))
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "horizon" in res.output
         assert isinstance(res.exception, SystemExit)
 
     @pytest.mark.parametrize("how", ["flag", "config"])

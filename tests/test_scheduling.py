@@ -275,3 +275,11 @@ class TestTextFormat:
     def test_validation_errors(self):
         with pytest.raises(ValidationError):
             ProblemInstance([FlowSpec(1, 0, 15_000, 0)], num_slots=4, delta=10_000)
+
+    @pytest.mark.parametrize("horizon", [0, -40_000])
+    def test_nonpositive_horizon_rejected(self, horizon):
+        # Both are multiples of N * delta and of the period, but schedule
+        # no instance at all.
+        with pytest.raises(ValidationError, match="horizon"):
+            ProblemInstance([FlowSpec(1, 0, 10_000, 1_000)], num_slots=4,
+                            delta=10_000, horizon=horizon)

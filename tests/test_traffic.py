@@ -112,7 +112,6 @@ class TestService:
         rep = service(rt, be, ring, clock, ServicePolicy(release_delta=DELTA),
                       InsertMode.STRICT)
         assert rep.inserted_rt == 0
-        assert rep.deferred == 1
         assert len(rt) == 1
 
     def test_early_release_respects_delta(self):
