@@ -2,14 +2,16 @@
 
 The transmit side is modeled one slot at a time, and a slot is one ring
 call: ``DmaRing.transmit_slot`` puts the frame at the consumer on the wire,
-reclaims it and tops the ring up with placeholders. The real-time packets
-due in the slot then go straight to ``insertion.try_insert``, in an order
-one sort works out per run (``_due_packets``); no queue, capacity bound or
+reclaims it, tops the ring up with placeholders and returns the packet that
+was armed there (None for a placeholder). The real-time packets due in the
+slot then go straight to ``insertion.try_insert``, in an order one sort
+works out per run (``_due_packets``); no queue, capacity bound or
 ``traffic.service`` call sits between the application and the ring. Each
-saturating best-effort load arms every placeholder its class owns in the
-insertion window (``DmaRing.fill_placeholders``). Valid real-time frames
-then traverse an optional chain of store-and-forward bridges with time
-gates before reaching the receiver; best-effort frames are counted.
+saturating best-effort load has one packet per run, which
+``DmaRing.fill_placeholders`` arms in every placeholder the load's class
+owns in the insertion window. Real-time frames (those with a scheduled
+time) then traverse an optional chain of store-and-forward bridges with
+time gates before reaching the receiver; best-effort frames are counted.
 
 All times are integer nanoseconds (slot durations are integral for the
 supported frame sizes), so a noise-free scenario yields bit-identical
@@ -105,7 +107,7 @@ class Bridge:
         return departure
 
 
-@dataclass
+@dataclass(frozen=True)  # run relies on __post_init__'s checks
 class Scenario:
     ring: RingConfig
     duration: int  # ns
@@ -124,6 +126,17 @@ class Scenario:
             raise ValidationError("release_delta must be >= 0")
         if self.propagation < 0:
             raise ValidationError("propagation must be >= 0")
+        if self.ring.wire_time.denominator != 1:
+            raise ValidationError("slot wire time must be an integral nanosecond count")
+        n = self.ring.num_slots
+        for pos in self.ownership or ():
+            if not 0 <= pos < n:
+                raise ValidationError(f"ownership position {pos} outside ring of {n}")
+        flow_ids = set()
+        for f in self.flows:
+            if f.flow_id in flow_ids:
+                raise ValidationError(f"two flows with flow_id {f.flow_id}")
+            flow_ids.add(f.flow_id)
         classes = {f.traffic_class for f in self.flows}
         if BEST_EFFORT in classes:
             raise ValidationError("real-time flows may not use the best-effort class")
@@ -238,10 +251,7 @@ def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int) -> li
 
 def run(scenario: Scenario) -> SimResult:
     ring = _build_ring(scenario)
-    delta = ring.config.wire_time
-    if delta.denominator != 1:
-        raise ValidationError("slot wire time must be an integral nanosecond count")
-    delta = int(delta)
+    delta = int(ring.config.wire_time)  # integral: Scenario checks it
     steps = scenario.duration // delta
     # The ring's clock: counter c goes on the wire at c * delta. Only
     # try_insert reads it, to map a scheduled time to its counter.
@@ -256,8 +266,11 @@ def run(scenario: Scenario) -> SimResult:
     be_payload = 0
     be_frames = 0
     gate_misses = 0
-    be_loads = [(load.traffic_class, load.payload_len) for load in scenario.be_loads]
-    be_classes = {cls for cls, _ in be_loads}
+    # One packet per load, armed in every slot the load fills.
+    be_packets = [
+        OutboundPacket(flow_id=None, traffic_class=load.traffic_class,
+                       payload_len=load.payload_len)
+        for load in scenario.be_loads]
     propagation = scenario.propagation
     hops = [(bridge.step, bridge.forward_delay) for bridge in scenario.bridges]
     transmit_slot = ring.transmit_slot
@@ -266,13 +279,14 @@ def run(scenario: Scenario) -> SimResult:
     for step in range(steps):
         now = step * delta
         # The NIC transmits the frame at counter `step` during this slot.
-        rec = transmit_slot()
-        if rec is not None:
-            if rec.owner_class in be_classes:
-                be_payload += rec.payload_len
+        frame = transmit_slot()
+        if frame is not None:
+            # Only fill_placeholders arms a frame with no scheduled time.
+            if frame.scheduled_time is None:
+                be_payload += frame.payload_len
                 be_frames += 1
             else:
-                flow_id = rec.flow_id
+                flow_id = frame.flow_id
                 arrival = now + delta + propagation
                 for step_hop, forward_delay in hops:
                     departure = step_hop(flow_id, arrival)
@@ -280,7 +294,7 @@ def run(scenario: Scenario) -> SimResult:
                         gate_misses += 1  # held for its gate window
                     arrival = departure + propagation
                 records.append(_new_record(PacketRecord, (
-                    flow_id, rec.seq, rec.scheduled_time, now, arrival)))
+                    flow_id, frame.seq, frame.scheduled_time, now, arrival)))
 
         while due[due_idx][0] <= step:
             try:
@@ -289,8 +303,8 @@ def run(scenario: Scenario) -> SimResult:
             except InsertError as exc:
                 report._count_drop(type(exc).__name__)
             due_idx += 1
-        for cls, payload_len in be_loads:
-            report.inserted_be += fill_placeholders(cls, payload_len)
+        for pkt in be_packets:
+            report.inserted_be += fill_placeholders(pkt)
 
     return SimResult(
         records=records,

@@ -63,11 +63,7 @@ def target_counter(clock: EphcClock, scheduled_time) -> int:
 
 def _arm(d: Descriptor, pkt: OutboundPacket) -> None:
     d.state = SlotState.ARMED
-    d.payload_len = pkt.payload_len  # padded to slot_size on the wire
-    d.crc_valid = True
-    d.scheduled_time = pkt.scheduled_time
-    d.flow_id = pkt.flow_id
-    d.seq = pkt.seq
+    d.frame = pkt  # padded to slot_size on the wire
 
 
 def _arm_first(ring: DmaRing, pkt: OutboundPacket) -> int:
@@ -105,7 +101,7 @@ def try_insert(
         err = OutOfWindow(f"target counter {c} outside insertion window [{lo}, {hi})")
     else:
         d = ring.descriptor_at(c)
-        if d.state is not SlotState.PLACEHOLDER or d.crc_valid:
+        if d.state is not SlotState.PLACEHOLDER:
             err = NotPlaceholder(f"slot {ring.slot_of(c)} is not a placeholder")
         elif d.owner_class != pkt.traffic_class:
             err = OwnershipViolation(

@@ -10,8 +10,9 @@ Positions reported by :meth:`DmaRing.nic_consume` are 0-based counter values.
 
 :meth:`DmaRing.nic_consume` and :meth:`DmaRing.poll_cycle` are the decoupled
 NIC and driver halves; :meth:`DmaRing.transmit_slot` is one slot time of the
-two coupled (consume one, then poll), and :meth:`DmaRing.fill_placeholders`
-arms every placeholder a best-effort class owns in one pass.
+two coupled (consume one, then poll) and returns the frame sent, and
+:meth:`DmaRing.fill_placeholders` arms one best-effort packet in every
+placeholder its class owns, in one pass.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import InvalidConfig, PayloadTooLarge, RingUnderrun
+
+if TYPE_CHECKING:
+    from .insertion import OutboundPacket
 
 #: Traffic-class id reserved for best-effort traffic. Ring slots not claimed
 #: by a real-time application default to this class.
@@ -73,11 +77,7 @@ class RingConfig:
 class Descriptor:
     state: SlotState = SlotState.PLACEHOLDER
     owner_class: int = BEST_EFFORT
-    payload_len: int = 0
-    crc_valid: bool = False
-    scheduled_time: Optional[int] = None
-    flow_id: Optional[str] = None
-    seq: int = 0
+    frame: Optional[OutboundPacket] = None  # the armed packet; None = placeholder
 
 
 class TransmittedRecord(NamedTuple):
@@ -126,13 +126,8 @@ class DmaRing:
         for pos in ownership:
             if not 0 <= pos < n:
                 raise InvalidConfig(f"ownership position {pos} outside ring of {n}")
-        self.descriptors = [
-            Descriptor(
-                owner_class=ownership.get(pos, BEST_EFFORT),
-                payload_len=config.slot_size,
-            )
-            for pos in range(n)
-        ]
+        self.descriptors = [Descriptor(SlotState.PLACEHOLDER, ownership.get(pos, BEST_EFFORT))
+                            for pos in range(n)]
         self.consumer_index = 0
         self.producer_index = config.batch_size
         self._reclaim_cursor = 0  # counters below this have been reclaimed
@@ -152,7 +147,11 @@ class DmaRing:
     # -- operations --------------------------------------------------------
 
     def nic_consume(self, k: int) -> list[TransmittedRecord]:
-        """Advance the NIC's consumer index by ``k`` completed transmissions."""
+        """Advance the NIC's consumer index by ``k`` completed transmissions.
+
+        A placeholder's record reads the full slot size, an invalid CRC and
+        no flow, schedule or seq; an armed slot's record copies its frame.
+        """
         if k < 0:
             raise ValueError("k must be >= 0")
         first = self.consumer_index
@@ -163,15 +162,18 @@ class DmaRing:
             )
         descriptors = self.descriptors
         n = self.config.num_slots
+        slot_size = self.config.slot_size
         in_flight = SlotState.IN_FLIGHT
         records = []
         for c in range(first, first + k):
             d = descriptors[c % n]
-            records.append(_new_record(
-                TransmittedRecord,
-                (c, d.payload_len, d.crc_valid, d.flow_id, d.owner_class,
-                 d.scheduled_time, d.seq),
-            ))
+            f = d.frame
+            if f is None:
+                fields = (c, slot_size, False, None, d.owner_class, None, 0)
+            else:
+                fields = (c, f.payload_len, True, f.flow_id, d.owner_class,
+                          f.scheduled_time, f.seq)
+            records.append(_new_record(TransmittedRecord, fields))
             d.state = in_flight
         self.consumer_index = first + k
         return records
@@ -188,16 +190,10 @@ class DmaRing:
         if end > first:
             descriptors = self.descriptors
             placeholder = SlotState.PLACEHOLDER
-            slot_size = config.slot_size
             for c in range(first, end):
-                # Padding to the full slot happens here, off the insertion path.
                 d = descriptors[c % n]
                 d.state = placeholder
-                d.payload_len = slot_size
-                d.crc_valid = False
-                d.scheduled_time = None
-                d.flow_id = None
-                d.seq = 0
+                d.frame = None
             self._reclaim_cursor = end
         self.producer_index = min(
             self.producer_index + config.batch_size, end + n
@@ -243,18 +239,19 @@ class DmaRing:
         self._scan_cursor[traffic_class] = end
         return None
 
-    def fill_placeholders(self, traffic_class: int, payload_len: int) -> int:
-        """Arm every in-window placeholder the class owns with a best-effort
-        frame of ``payload_len`` bytes; returns how many were armed.
+    def fill_placeholders(self, pkt: OutboundPacket) -> int:
+        """Arm the best-effort packet ``pkt`` in every in-window placeholder
+        its class owns; returns how many were armed.
 
-        Equals calling :meth:`first_placeholder` and arming the hit the way
-        ``insertion.insert_best_effort`` does, until no placeholder is left,
-        but makes one pass. Raises ValueError for ``payload_len < 1`` and
-        PayloadTooLarge (arming nothing more) on the first placeholder found
-        when the payload exceeds the slot size.
+        Equals ``insertion.insert_best_effort(ring, pkt)`` until no
+        placeholder is left, but makes one pass. Raises ValueError for a
+        packet with a ``scheduled_time``, and PayloadTooLarge (arming
+        nothing more) on the first placeholder found when the payload
+        exceeds the slot size.
         """
-        if payload_len < 1:
-            raise ValueError("payload_len must be >= 1")
+        if pkt.scheduled_time is not None:
+            raise ValueError("best-effort packets carry no scheduled_time")
+        traffic_class = pkt.traffic_class
         start, end = self._scan_range(traffic_class)
         config = self.config
         n = config.num_slots
@@ -265,29 +262,25 @@ class DmaRing:
         for c in range(start, end):
             d = descriptors[c % n]
             if d.state is placeholder and d.owner_class == traffic_class:
-                if payload_len > config.slot_size:
+                if pkt.payload_len > config.slot_size:
                     self._scan_cursor[traffic_class] = c
                     raise PayloadTooLarge(
-                        f"payload {payload_len} exceeds slot size {config.slot_size}"
+                        f"payload {pkt.payload_len} exceeds slot size {config.slot_size}"
                     )
                 d.state = armed
-                d.payload_len = payload_len  # padded to slot_size on the wire
-                d.crc_valid = True
-                d.scheduled_time = None
-                d.flow_id = None
-                d.seq = 0
+                d.frame = pkt  # padded to slot_size on the wire
                 filled += 1
         self._scan_cursor[traffic_class] = end
         return filled
 
-    def transmit_slot(self) -> Optional[TransmittedRecord]:
+    def transmit_slot(self) -> Optional[OutboundPacket]:
         """One slot time of the coupled NIC and driver.
 
         Equals ``nic_consume(1)`` followed by ``poll_cycle()``: the same
         counters, descriptors and RingUnderrun, and a lagging reclaim (left
         by an earlier ``nic_consume`` without a poll) reclaims the whole
-        range up to the consumer. Returns the record of a valid frame and
-        None for a placeholder; builds no list and no ReclaimReport.
+        range up to the consumer. Returns the packet armed at the consumer,
+        or None for a placeholder; builds no record and no ReclaimReport.
         """
         c = self.consumer_index
         if c >= self.producer_index:
@@ -297,28 +290,18 @@ class DmaRing:
         config = self.config
         n = config.num_slots
         descriptors = self.descriptors
-        d = descriptors[c % n]
-        rec = _new_record(
-            TransmittedRecord,
-            (c, d.payload_len, d.crc_valid, d.flow_id, d.owner_class,
-             d.scheduled_time, d.seq),
-        ) if d.crc_valid else None
+        frame = descriptors[c % n].frame
         end = c + 1
         placeholder = SlotState.PLACEHOLDER
-        slot_size = config.slot_size
         # Usually just c; more when an earlier nic_consume was not polled.
         for r in range(self._reclaim_cursor, end):
             d = descriptors[r % n]
             d.state = placeholder
-            d.payload_len = slot_size
-            d.crc_valid = False
-            d.scheduled_time = None
-            d.flow_id = None
-            d.seq = 0
+            d.frame = None
         self.consumer_index = self._reclaim_cursor = end
         producer = self.producer_index + config.batch_size
         self.producer_index = producer if producer < end + n else end + n  # min()
-        return rec
+        return frame
 
 
 def relative_throughput(config: RingConfig) -> float:

@@ -228,6 +228,14 @@ class TestCli:
         # Negative delays would deliver frames before they are sent.
         ("simulate", "back_to_back.yaml", ("propagation",), -5),
         ("simulate", "back_to_back.yaml", ("bridges",), [{"forward_delay": -1000000}]),
+        # 64 B at 10 Gb/s is 51.2 ns, not a whole number of nanoseconds.
+        ("simulate", "back_to_back.yaml", ("ring",),
+         {"num_slots": 8, "slot_size": 64, "line_rate": 10_000_000_000}),
+        ("simulate", "back_to_back.yaml", ("ownership",), {"9": 1}),
+        ("simulate", "back_to_back.yaml", ("flows",),
+         [{"flow_id": 1, "traffic_class": 1, "period": 19200, "payload_len": 64},
+          {"flow_id": 1, "traffic_class": 1, "period": 19200, "phase": 9600,
+           "payload_len": 64}]),
     ])
     def test_malformed_config_exit_2(self, tmp_path, command, name, path, value):
         cfg = tmp_path / "bad.json"

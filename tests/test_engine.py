@@ -1,5 +1,6 @@
 """End-to-end engine: determinism, metrics, gates, and isolation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -237,6 +238,36 @@ class TestValidation:
     def test_negative_forward_delay_rejected(self):
         with pytest.raises(ValidationError, match="forward_delay"):
             Bridge("b0", forward_delay=-1)
+
+    def test_fractional_slot_wire_time_rejected(self):
+        # 64 B at 10 Gb/s lasts 51.2 ns on the wire: no integral time grid.
+        with pytest.raises(ValidationError, match="wire time"):
+            base_scenario(ring=RingConfig(num_slots=8, slot_size=64, batch_size=1,
+                                          line_rate=10_000_000_000))
+
+    def test_checked_fields_cannot_be_set_in_place(self):
+        # run relies on the scenario's checks, so a field changes only
+        # through dataclasses.replace, which runs them again.
+        s = base_scenario()
+        ring = RingConfig(num_slots=8, slot_size=64, batch_size=1,
+                          line_rate=10_000_000_000)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.ring = ring
+        with pytest.raises(ValidationError, match="wire time"):
+            dataclasses.replace(s, ring=ring)
+
+    @pytest.mark.parametrize("pos", [8, 9, -1])
+    def test_ownership_outside_ring_rejected(self, pos):
+        with pytest.raises(ValidationError, match="ownership"):
+            base_scenario(ownership={pos: RT})
+
+    def test_duplicate_flow_ids_rejected(self):
+        # Records and gates are keyed by flow_id, so two flows sharing one
+        # would be merged into one flow's metrics and one gate.
+        flows = [FlowDef(flow_id=1, traffic_class=RT, period=19_200, phase=phase,
+                         payload_len=64) for phase in (0, 9_600)]
+        with pytest.raises(ValidationError, match="flow_id 1"):
+            base_scenario(flows=flows)
 
 
 class TestBestEffortLoads:

@@ -69,8 +69,7 @@ class TestStrict:
         assert pos == 8
         d = ring.descriptor_at(8)
         assert d.state is SlotState.ARMED
-        assert d.crc_valid
-        assert d.payload_len == 200
+        assert d.frame is pkt
 
     def test_below_window_rejected(self):
         ring = make_ring()
@@ -199,7 +198,7 @@ class TestScanCursor:
             else:
                 if op == "relaxed":
                     d = ring.descriptor_at(target)
-                    on_target = (lo <= target < hi and not d.crc_valid
+                    on_target = (lo <= target < hi and d.frame is None
                                  and d.state is SlotState.PLACEHOLDER
                                  and d.owner_class == cls)
                     expect = target if on_target else linear_scan(ring, cls)
@@ -219,16 +218,18 @@ class TestScanCursor:
 def ring_state(ring):
     return (ring.consumer_index, ring.producer_index, ring._reclaim_cursor,
             dict(ring._scan_cursor),
-            [(d.state, d.owner_class, d.payload_len, d.crc_valid,
-              d.scheduled_time, d.flow_id, d.seq) for d in ring.descriptors])
+            [(d.state, d.owner_class, d.frame) for d in ring.descriptors])
 
 
-def fill_by_lookup(ring, traffic_class, payload_len):
+def be_packet(traffic_class, payload_len=64):
+    return OutboundPacket(flow_id=None, traffic_class=traffic_class,
+                          payload_len=payload_len)
+
+
+def fill_by_lookup(ring, pkt):
     """Reference fill: first_placeholder + insert_best_effort until none is left."""
-    pkt = OutboundPacket(flow_id=None, traffic_class=traffic_class,
-                         payload_len=payload_len)
     filled = 0
-    while ring.first_placeholder(traffic_class) is not None:
+    while ring.first_placeholder(pkt.traffic_class) is not None:
         insert_best_effort(ring, pkt)
         filled += 1
     return filled
@@ -248,7 +249,7 @@ class TestFillPlaceholders:
         ops = st.lists(st.tuples(
             st.sampled_from(["consume", "poll", "strict", "fill"]),
             st.integers(0, 1 << 16), st.integers(0, 2),
-            st.sampled_from([0, 1, 64, 300, 301])), max_size=200)
+            st.sampled_from([1, 64, 300, 301])), max_size=200)
         for op, r, cls, payload in data.draw(ops, label="ops"):
             cls %= classes
             if op == "consume":
@@ -268,27 +269,33 @@ class TestFillPlaceholders:
                     except InsertError:
                         pass
             else:
+                pkt = be_packet(cls, payload)
                 outcomes = []
                 for ring, fill in ((one_pass, DmaRing.fill_placeholders),
                                    (ref, fill_by_lookup)):
                     try:
-                        outcomes.append(fill(ring, cls, payload))
-                    except (ValueError, PayloadTooLarge) as exc:
+                        outcomes.append(fill(ring, pkt))
+                    except PayloadTooLarge as exc:
                         outcomes.append(type(exc))
                 assert outcomes[0] == outcomes[1]
             assert ring_state(one_pass) == ring_state(ref)
 
     def test_arms_every_owned_placeholder(self):
         ring = make_ring(n=8, batch=2, ownership={i: i % 2 for i in range(8)})
-        assert ring.fill_placeholders(0, 64) == 3  # counters 2, 4, 6 of [2, 8)
-        assert [c for c in range(8) if ring.descriptor_at(c).crc_valid] == [2, 4, 6]
-        assert ring.fill_placeholders(0, 64) == 0
+        pkt = be_packet(0)
+        assert ring.fill_placeholders(pkt) == 3  # counters 2, 4, 6 of [2, 8)
+        assert [c for c in range(8) if ring.descriptor_at(c).frame is pkt] == [2, 4, 6]
+        assert ring.fill_placeholders(pkt) == 0
         assert ring._scan_cursor[0] == 8
 
     def test_oversize_payload_raises_only_with_a_placeholder(self):
         ring = make_ring(n=8, batch=2, ownership={i: 1 for i in range(8)})
-        assert ring.fill_placeholders(0, 301) == 0  # class 0 owns no slot
+        assert ring.fill_placeholders(be_packet(0, 301)) == 0  # class 0 owns no slot
         with pytest.raises(PayloadTooLarge):
-            ring.fill_placeholders(1, 301)
-        with pytest.raises(ValueError):
-            ring.fill_placeholders(0, 0)
+            ring.fill_placeholders(be_packet(1, 301))
+
+    def test_scheduled_packet_rejected(self):
+        ring = make_ring(n=8, batch=2, ownership={i: 1 for i in range(8)})
+        with pytest.raises(ValueError, match="scheduled_time"):
+            ring.fill_placeholders(rt_packet(4))
+        assert all(d.frame is None for d in ring.descriptors)

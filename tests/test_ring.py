@@ -29,8 +29,7 @@ class TestConstruction:
         for i in range(32):
             d = ring.descriptor_at(i)
             assert d.state is SlotState.PLACEHOLDER
-            assert not d.crc_valid
-            assert d.payload_len == 300
+            assert d.frame is None
 
     def test_twelve_slot_layout(self):
         ring = make_ring(n=12, batch=5)
@@ -69,6 +68,7 @@ class TestConsume:
         assert ring.consumer_index == 5
         for r in recs:
             assert not r.crc_valid  # placeholders carry a corrupted check
+            assert r.payload_len == 300  # and fill the whole slot
 
     def test_underrun_raises(self):
         ring = make_ring(n=12, batch=5)
@@ -176,8 +176,7 @@ def ring_state(ring):
     """Everything transmit_slot may touch, for twin-ring comparisons."""
     return (ring.consumer_index, ring.producer_index, ring._reclaim_cursor,
             dict(ring._scan_cursor),
-            [(d.state, d.owner_class, d.payload_len, d.crc_valid,
-              d.scheduled_time, d.flow_id, d.seq) for d in ring.descriptors])
+            [(d.state, d.owner_class, d.frame) for d in ring.descriptors])
 
 
 class TestTransmitSlot:
@@ -205,7 +204,12 @@ class TestTransmitSlot:
                 else:
                     (want,) = ref.nic_consume(1)
                     ref.poll_cycle()
-                    assert got == (want if want.crc_valid else None)
+                    # The returned frame is the one the record describes.
+                    assert (got is None) == (not want.crc_valid)
+                    if got is not None:
+                        assert (got.payload_len, got.flow_id, got.scheduled_time,
+                                got.seq) == (want.payload_len, want.flow_id,
+                                             want.scheduled_time, want.seq)
             elif op < 0.65:
                 # Decoupled NIC: leaves a lagging reclaim (or an empty ring).
                 k = rng.randint(0, fused.producer_index - fused.consumer_index)
