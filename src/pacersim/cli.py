@@ -59,6 +59,7 @@ def simulate(config_path, out_dir, duration, fmt):
     engine.write_summary_csv(result, out / "summary.csv")
     click.echo(f"packets={len(result.records)} dropped={result.report.dropped} "
                f"gate_misses={result.gate_misses} "
+               f"misses_by_bridge={','.join(map(str, result.misses_by_bridge))} "
                f"be_goodput_bps={result.be_goodput:.0f}")
 
 

@@ -12,6 +12,9 @@ saturating best-effort load has one packet per run, which
 owns in the insertion window. Real-time frames (those with a scheduled
 time) then traverse an optional chain of store-and-forward bridges with
 time gates before reaching the receiver; best-effort frames are counted.
+A flow's gate and forward delay at each bridge are fixed for the run, so
+``run`` builds each flow's hop chain once and walks it inline per frame;
+``Bridge.step`` is the same one-hop rule, and the test oracle calls it.
 
 All times are integer nanoseconds (slot durations are integral for the
 supported frame sizes), so a noise-free scenario yields bit-identical
@@ -33,6 +36,13 @@ from .insertion import InsertMode, OutboundPacket, target_counter, try_insert
 from .ring import BEST_EFFORT, DmaRing, RingConfig, _new_record
 from .traffic import DEFAULT_RELEASE_DELTA, ServiceReport
 from .traffic import service  # noqa: F401  pacerbench's tracer wraps engine.service
+
+#: Most descriptors a scenario's ring may have; ``run`` builds the ring in
+#: memory. NIC descriptor rings hold a few thousand at most.
+MAX_RING_SLOTS = 1 << 16
+#: Most slots one run may simulate (``duration`` over the slot wire time);
+#: ``run`` steps every slot, and each may carry a real-time frame.
+MAX_RUN_SLOTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -126,9 +136,17 @@ class Scenario:
             raise ValidationError("release_delta must be >= 0")
         if self.propagation < 0:
             raise ValidationError("propagation must be >= 0")
-        if self.ring.wire_time.denominator != 1:
+        wire_time = self.ring.wire_time
+        if wire_time.denominator != 1:
             raise ValidationError("slot wire time must be an integral nanosecond count")
         n = self.ring.num_slots
+        if n > MAX_RING_SLOTS:
+            raise ValidationError(
+                f"ring.num_slots {n} exceeds MAX_RING_SLOTS ({MAX_RING_SLOTS})")
+        if self.duration // wire_time.numerator > MAX_RUN_SLOTS:
+            raise ValidationError(
+                f"duration {self.duration} ns is over MAX_RUN_SLOTS ({MAX_RUN_SLOTS}) "
+                f"slots of {wire_time.numerator} ns")
         for pos in self.ownership or ():
             if not 0 <= pos < n:
                 raise ValidationError(f"ownership position {pos} outside ring of {n}")
@@ -149,6 +167,10 @@ class Scenario:
                 raise ValidationError(
                     f"best-effort load of class {load.traffic_class} shares "
                     f"its class with a real-time flow")
+            if load.payload_len > self.ring.slot_size:
+                raise ValidationError(
+                    f"best-effort load of class {load.traffic_class}: payload_len "
+                    f"{load.payload_len} exceeds slot_size {self.ring.slot_size}")
             be_classes.add(load.traffic_class)
 
 
@@ -164,11 +186,16 @@ class PacketRecord(NamedTuple):
 class SimResult:
     records: list  # PacketRecord, wire order
     report: ServiceReport
-    gate_misses: int
+    misses_by_bridge: list  # gate misses at each bridge, in bridge order
     be_payload_bytes: int
     be_frames: int
     duration: int
     line_rate: float
+
+    @property
+    def gate_misses(self) -> int:
+        """Frames held for a gate window, summed over the hops."""
+        return sum(self.misses_by_bridge)
 
     def flow_records(self, flow_id) -> list:
         return [r for r in self.records if r.flow_id == flow_id]
@@ -197,6 +224,10 @@ def inter_arrival_jitter(times, period) -> tuple[float, float]:
     devs = [(b - a) - period for a, b in zip(times, times[1:])]
     mean = sum(devs) / len(devs)
     return statistics.pstdev(devs), max(abs(d) for d in devs)
+
+
+#: The hop of a bridge that does not gate a flow: its window never closes.
+_ALWAYS_OPEN = GateWindow(0, 1, 1)
 
 
 def _build_ring(scenario: Scenario) -> DmaRing:
@@ -242,9 +273,9 @@ def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int) -> li
             if at < steps:
                 # The frame carries its per-flow instance number as its seq;
                 # ties on (handoff, k) fall back to creation order.
+                # Positional: the keyword form costs twice as much per packet.
                 due.append((at, sched, handoff, k, len(due), OutboundPacket(
-                    flow_id=f.flow_id, traffic_class=f.traffic_class,
-                    payload_len=f.payload_len, scheduled_time=sched, seq=k)))
+                    f.flow_id, f.traffic_class, f.payload_len, sched, k)))
     due.sort()
     return due
 
@@ -265,14 +296,23 @@ def run(scenario: Scenario) -> SimResult:
     records: list[PacketRecord] = []
     be_payload = 0
     be_frames = 0
-    gate_misses = 0
     # One packet per load, armed in every slot the load fills.
     be_packets = [
         OutboundPacket(flow_id=None, traffic_class=load.traffic_class,
                        payload_len=load.payload_len)
         for load in scenario.be_loads]
     propagation = scenario.propagation
-    hops = [(bridge.step, bridge.forward_delay) for bridge in scenario.bridges]
+    first_arrival = delta + propagation  # after the slot's start
+    # Each flow's hops, (offset, width, cycle, forward delay + propagation,
+    # bridge index), walked inline by the rule of Bridge.step: a frame
+    # outside its window waits for the next opening. A bridge that does not
+    # gate the flow is a window that never closes.
+    misses_by_bridge = [0] * len(scenario.bridges)
+    chains = {f.flow_id: tuple(
+        (g.offset, g.width, g.cycle, bridge.forward_delay + propagation, i)
+        for i, bridge in enumerate(scenario.bridges)
+        for g in (bridge.gates.get(f.flow_id, _ALWAYS_OPEN),))
+        for f in scenario.flows}
     transmit_slot = ring.transmit_slot
     fill_placeholders = ring.fill_placeholders
 
@@ -287,12 +327,13 @@ def run(scenario: Scenario) -> SimResult:
                 be_frames += 1
             else:
                 flow_id = frame.flow_id
-                arrival = now + delta + propagation
-                for step_hop, forward_delay in hops:
-                    departure = step_hop(flow_id, arrival)
-                    if departure != arrival + forward_delay:
-                        gate_misses += 1  # held for its gate window
-                    arrival = departure + propagation
+                arrival = now + first_arrival
+                for offset, width, cycle, hop_delay, i in chains[flow_id]:
+                    rel = (arrival - offset) % cycle
+                    if rel >= width:
+                        arrival += cycle - rel  # held for its gate window
+                        misses_by_bridge[i] += 1
+                    arrival += hop_delay
                 records.append(_new_record(PacketRecord, (
                     flow_id, frame.seq, frame.scheduled_time, now, arrival)))
 
@@ -309,7 +350,7 @@ def run(scenario: Scenario) -> SimResult:
     return SimResult(
         records=records,
         report=report,
-        gate_misses=gate_misses,
+        misses_by_bridge=misses_by_bridge,
         be_payload_bytes=be_payload,
         be_frames=be_frames,
         duration=scenario.duration,

@@ -21,7 +21,7 @@ from .errors import (
     OwnershipViolation,
     PayloadTooLarge,
 )
-from .ring import Descriptor, DmaRing, SlotState
+from .ring import DmaRing, SlotState
 
 
 @dataclass
@@ -61,11 +61,6 @@ def target_counter(clock: EphcClock, scheduled_time) -> int:
     return rel // (p * b) if rel >= 0 else -1
 
 
-def _arm(d: Descriptor, pkt: OutboundPacket) -> None:
-    d.state = SlotState.ARMED
-    d.frame = pkt  # padded to slot_size on the wire
-
-
 def _arm_first(ring: DmaRing, pkt: OutboundPacket) -> int:
     # Arm the earliest placeholder of the packet's class in the window
     # [lo, hi). The ring resumes from the class's scan cursor and stops at
@@ -76,7 +71,9 @@ def _arm_first(ring: DmaRing, pkt: OutboundPacket) -> int:
     c = ring.first_placeholder(pkt.traffic_class)
     if c is None:
         raise NoSlotAvailable(f"no placeholder owned by class {pkt.traffic_class} in window")
-    _arm(ring.descriptor_at(c), pkt)
+    d = ring.descriptor_at(c)
+    d.state = SlotState.ARMED
+    d.frame = pkt  # padded to slot_size on the wire
     return c
 
 
@@ -91,16 +88,21 @@ def try_insert(
     """
     if pkt.scheduled_time is None:
         raise ValueError("try_insert requires a scheduled_time")
-    if pkt.payload_len > ring.config.slot_size:
+    config = ring.config
+    if pkt.payload_len > config.slot_size:
         raise PayloadTooLarge(
-            f"payload {pkt.payload_len} exceeds slot size {ring.config.slot_size}"
+            f"payload {pkt.payload_len} exceeds slot size {config.slot_size}"
         )
     c = target_counter(clock, pkt.scheduled_time)
-    lo, hi = ring.insertion_window()
+    # ring.insertion_window() and ring.descriptor_at(c), inlined: this runs
+    # once per real-time packet.
+    n = config.num_slots
+    lo = ring.consumer_index + config.batch_size
+    hi = ring.consumer_index + n
     if not lo <= c < hi:
         err = OutOfWindow(f"target counter {c} outside insertion window [{lo}, {hi})")
     else:
-        d = ring.descriptor_at(c)
+        d = ring.descriptors[c % n]
         if d.state is not SlotState.PLACEHOLDER:
             err = NotPlaceholder(f"slot {ring.slot_of(c)} is not a placeholder")
         elif d.owner_class != pkt.traffic_class:
@@ -109,7 +111,8 @@ def try_insert(
                 f"packet is class {pkt.traffic_class}"
             )
         else:
-            _arm(d, pkt)
+            d.state = SlotState.ARMED
+            d.frame = pkt  # padded to slot_size on the wire
             return c
     if mode is InsertMode.STRICT:
         raise err

@@ -290,14 +290,18 @@ class DmaRing:
         config = self.config
         n = config.num_slots
         descriptors = self.descriptors
-        frame = descriptors[c % n].frame
+        d = descriptors[c % n]
+        frame = d.frame
         end = c + 1
-        placeholder = SlotState.PLACEHOLDER
-        # Usually just c; more when an earlier nic_consume was not polled.
-        for r in range(self._reclaim_cursor, end):
-            d = descriptors[r % n]
-            d.state = placeholder
+        if self._reclaim_cursor == c:  # the usual case: reclaim just c
+            d.state = SlotState.PLACEHOLDER
             d.frame = None
+        else:  # an earlier nic_consume was not polled
+            placeholder = SlotState.PLACEHOLDER
+            for r in range(self._reclaim_cursor, end):
+                d = descriptors[r % n]
+                d.state = placeholder
+                d.frame = None
         self.consumer_index = self._reclaim_cursor = end
         producer = self.producer_index + config.batch_size
         self.producer_index = producer if producer < end + n else end + n  # min()

@@ -236,6 +236,11 @@ class TestCli:
          [{"flow_id": 1, "traffic_class": 1, "period": 19200, "payload_len": 64},
           {"flow_id": 1, "traffic_class": 1, "period": 19200, "phase": 9600,
            "payload_len": 64}]),
+        # A best-effort frame larger than its 300 B slot.
+        ("simulate", "back_to_back.yaml", ("be_loads", 0, "payload_len"), 1000),
+        # Work past the documented caps, refused before any is done.
+        ("simulate", "back_to_back.yaml", ("ring", "num_slots"), 10**30),
+        ("simulate", "back_to_back.yaml", ("duration",), 10**30),
     ])
     def test_malformed_config_exit_2(self, tmp_path, command, name, path, value):
         cfg = tmp_path / "bad.json"
@@ -247,6 +252,15 @@ class TestCli:
         res = self.run_cli(command, str(cfg), *dest)
         assert res.exit_code == 2, res.output
         assert "error:" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert not out.exists()
+
+    def test_simulate_duration_flag_capped_exit_2(self, tmp_path):
+        out = tmp_path / "out"
+        res = self.run_cli("simulate", str(CONFIGS / "back_to_back.yaml"),
+                           "--duration", str(10**30), "--out-dir", str(out))
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "duration" in res.output
         assert isinstance(res.exception, SystemExit)
         assert not out.exists()
 

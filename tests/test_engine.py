@@ -163,6 +163,29 @@ class TestGateBridge:
         assert first.gate_misses == len(first.records) > 0
         assert run(sc) == first
 
+    def test_chain_counts_each_bridge(self):
+        # Flow 1 passes ungated through b0 and misses its 1 us window at b1
+        # by 2.1 us, so it waits 16.1 us there; flow 2 meets both its
+        # windows. Slots are 2400 ns; each hop adds 100 ns of propagation.
+        flows = [FlowDef(flow_id=1, traffic_class=1, period=19_200, phase=38_400,
+                         payload_len=200, count=2),
+                 FlowDef(flow_id=2, traffic_class=2, period=19_200, phase=40_800,
+                         payload_len=200, count=2)]
+        bridges = [
+            Bridge("b0", forward_delay=500,
+                   gates={2: GateWindow(offset=4_900, width=2_400, cycle=19_200)}),
+            Bridge("b1", forward_delay=700,
+                   gates={1: GateWindow(offset=0, width=1_000, cycle=19_200),
+                          2: GateWindow(offset=5_500, width=100, cycle=19_200)}),
+        ]
+        res = run(base_scenario(flows=flows, bridges=bridges, propagation=100,
+                                duration=80_000))
+        assert [(r.flow_id, r.send_time, r.recv_time) for r in res.records] == [
+            (1, 38_400, 58_400), (2, 40_800, 44_700),
+            (1, 57_600, 77_600), (2, 60_000, 63_900)]
+        assert res.misses_by_bridge == [0, 2]
+        assert res.gate_misses == 2
+
 
 class TestMultiHop:
     def test_aligned_gates_constant_delay(self):
@@ -260,6 +283,23 @@ class TestValidation:
     def test_ownership_outside_ring_rejected(self, pos):
         with pytest.raises(ValidationError, match="ownership"):
             base_scenario(ownership={pos: RT})
+
+    def test_oversize_be_payload_rejected(self):
+        # Every frame of the load would be refused, so the scenario is.
+        with pytest.raises(ValidationError, match="payload_len 301 exceeds slot_size"):
+            base_scenario(be_loads=[BeLoad(0, 301)])
+
+    def test_ring_size_capped(self):
+        with pytest.raises(ValidationError, match="ring.num_slots"):
+            base_scenario(ring=RingConfig(num_slots=10**30, slot_size=300,
+                                          batch_size=1))
+
+    def test_run_slots_capped(self):
+        s = base_scenario()
+        with pytest.raises(ValidationError, match="duration"):
+            base_scenario(duration=10**30)
+        with pytest.raises(ValidationError, match="duration"):
+            dataclasses.replace(s, duration=10**30)
 
     def test_duplicate_flow_ids_rejected(self):
         # Records and gates are keyed by flow_id, so two flows sharing one

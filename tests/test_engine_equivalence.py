@@ -5,15 +5,17 @@
 real-time hand-offs in an ``RtQueue`` and calls ``traffic.service`` every
 slot: once with the real-time queue and the first best-effort load's queue,
 then once per further load, in load order, with an empty real-time queue.
-Each load's queue is refilled with a new packet per free entry. It counts a
-gate miss at each hop whose departure is not the arrival plus the bridge's
-forward delay.
+Each load's queue is refilled with a new packet per free entry. It moves a
+frame through each bridge with ``Bridge.step`` and counts a gate miss, in
+total and per bridge, at each hop whose departure is not the arrival plus
+the bridge's forward delay.
 ``engine.run`` uses no queue and no ``service``: it makes a slot one
 ``transmit_slot`` call, inserts the real-time packets due in the slot with
-``try_insert`` in an order one sort works out per run, and fills best-effort
-placeholders in one pass per load. For up to three loads, of any classes
-that no real-time flow uses, they must agree on every result and on the
-exception raised, drop counts included.
+``try_insert`` in an order one sort works out per run, fills best-effort
+placeholders in one pass per load, and walks each flow's hop chain inline.
+For up to three loads, of any classes that no real-time flow uses, they must
+agree on every result and on the exception raised, drop counts and per-bridge
+misses included.
 """
 
 import random
@@ -53,7 +55,8 @@ def reference_build_ring(scenario):
 
 
 def reference_run(scenario, seen=None):
-    """The per-slot loop: (records, report, be_frames, be_payload, gate_misses).
+    """The per-slot loop: (records, report, be_frames, be_payload, gate_misses,
+    misses_by_bridge).
 
     Adds "held past its hand-off slot" to the set ``seen``, if one is given,
     when a real-time packet is still queued after its slot's ``service`` call.
@@ -92,6 +95,7 @@ def reference_run(scenario, seen=None):
     be_payload = 0
     be_frames = 0
     gate_misses = 0
+    misses_by_bridge = [0] * len(scenario.bridges)
     n = ring.config.num_slots
     for step in range(scenario.duration // delta):
         now = step * delta
@@ -103,9 +107,11 @@ def reference_run(scenario, seen=None):
                 be_frames += 1
                 continue
             arrival = now + delta + scenario.propagation
-            for bridge in scenario.bridges:
+            for i, bridge in enumerate(scenario.bridges):
                 departure = bridge.step(rec.flow_id, arrival)
-                gate_misses += departure != arrival + bridge.forward_delay
+                if departure != arrival + bridge.forward_delay:
+                    gate_misses += 1
+                    misses_by_bridge[i] += 1
                 arrival = departure + scenario.propagation
             sched = rec.scheduled_time if rec.scheduled_time is not None else now
             wire.append(PacketRecord(rec.flow_id, rec.seq, sched, now, arrival))
@@ -128,7 +134,7 @@ def reference_run(scenario, seen=None):
 
     records = [PacketRecord(r.flow_id, seq_of.get(r.seq, r.seq), r.scheduled_time,
                             r.send_time, r.recv_time) for r in wire]
-    return records, report, be_frames, be_payload, gate_misses
+    return records, report, be_frames, be_payload, gate_misses, misses_by_bridge
 
 
 def outcome(runner, scenario):
@@ -141,7 +147,7 @@ def outcome(runner, scenario):
 def new_run(scenario):
     res = run(scenario)
     return (res.records, res.report, res.be_frames, res.be_payload_bytes,
-            res.gate_misses)
+            res.gate_misses, res.misses_by_bridge)
 
 
 SLOT_SIZES = (64, 100, 125, 300)  # 512, 800, 1000, 2400 ns at 1 Gb/s
@@ -175,10 +181,11 @@ def random_scenario(seed):
         # One to three loads, on distinct classes that no real-time flow uses.
         free = [c for c in range(6) if c not in {f.traffic_class for f in flows}]
         for cls in rng.sample(free, rng.randint(1, 3)):
-            oversize = rng.random() < 0.05
+            # A full-slot payload at times; the draw keeps the seeds' scenarios.
+            full = rng.random() < 0.05
             be_loads.append(BeLoad(
                 traffic_class=cls,
-                payload_len=slot_size + 1 if oversize else rng.randint(1, slot_size)))
+                payload_len=slot_size if full else rng.randint(1, slot_size)))
     ownership = None
     if rng.random() < 0.6:
         # Explicit layouts: slots of a best-effort or real-time class, and
@@ -230,8 +237,9 @@ class TestAgainstPerSlotLoop:
             outcome(reference_run, random_scenario(seed))
 
     def test_sweep_reaches_every_case(self):
-        # A fixed sweep that must reach every drop cause, gate misses, an
-        # oversize best-effort payload, N = 1 and batch = N in both modes.
+        # A fixed sweep that must reach every drop cause, an oversize
+        # real-time payload among them, gate misses, N = 1 and batch = N in
+        # both modes.
         # Running one scenario object twice must give equal results.
         causes, seen = set(), set()
         for seed in range(400):
@@ -256,7 +264,7 @@ class TestAgainstPerSlotLoop:
             if isinstance(got, type):
                 seen.add(got.__name__)
                 continue
-            records, report, be_frames, _, gate_misses = got
+            records, report, be_frames, _, gate_misses, _ = got
             assert report.dropped == sum(report.drop_causes.values()), seed
             causes |= set(report.drop_causes)
             if gate_misses:
@@ -264,9 +272,9 @@ class TestAgainstPerSlotLoop:
             if be_frames and records:
                 seen.add("rt and be frames")
         assert causes >= {"OutOfWindow", "NoSlotAvailable", "OwnershipViolation",
-                          "NotPlaceholder"}
+                          "NotPlaceholder", "PayloadTooLarge"}
         assert seen >= {("mode", InsertMode.STRICT), ("mode", InsertMode.RELAXED),
-                        "N=1", "batch=N", "late_by", "PayloadTooLarge",
+                        "N=1", "batch=N", "late_by",
                         "gate misses", "rt and be frames", "several loads",
                         "load of a non-zero class"}
         assert seen >= {"hand-off before slot 0", "hand-off before its release time",
