@@ -1,20 +1,27 @@
 """Discrete-event simulation of a paced ring feeding a switched network.
 
-The transmit side is modeled one slot at a time, and a slot is one ring
-call: ``DmaRing.transmit_slot`` puts the frame at the consumer on the wire,
-reclaims it, tops the ring up with placeholders and returns the packet that
-was armed there (None for a placeholder). The real-time packets due in the
-slot then go straight to ``insertion.try_insert``, in an order one sort
-works out per run (``_due_packets``); no queue, capacity bound or
-``traffic.service`` call sits between the application and the ring. Each
-saturating best-effort load has one packet per run, which
-``DmaRing.fill_placeholders`` arms in every placeholder the load's class
-owns in the insertion window. Real-time frames (those with a scheduled
-time) then traverse an optional chain of store-and-forward bridges with
-time gates before reaching the receiver; best-effort frames are counted.
-A flow's gate and forward delay at each bridge are fixed for the run, so
-``run`` builds each flow's hop chain once and walks it inline per frame;
-``Bridge.step`` is the same one-hop rule, and the test oracle calls it.
+A real-time packet's wire time is its ring counter times the slot time, so
+``run`` places real-time packets by arithmetic instead of stepping slots.
+One sort per run gives each packet its due slot ``at`` and its place among
+the packets due there (``_due_packets``). After slot ``at`` is sent the
+insertion window is ``[at + 1 + batch, at + 1 + N)``, and the only ring
+state a packet can meet in it is the earlier real-time arms and the
+best-effort fills, which by then hold every counter a load's class owns
+below ``at + N`` (none before slot 0's fill). So a walk over the due list
+with a map of armed counters and the slot ownership gives each packet its
+counter or the drop cause ``insertion.try_insert`` would raise, in the same
+order of checks; relaxed mode falls back to the class's first unarmed
+counter in the window. Armed counters below the run's slot count go on the
+wire in counter order. Only a scenario with saturating best-effort loads
+builds a ``DmaRing``: one ``transmit_slot`` call per slot and one
+``fill_placeholders`` pass per load, which arms the load's one packet in
+every placeholder its class owns in the window, carry the loads' frames.
+Real-time frames then traverse an optional chain of store-and-forward
+bridges with time gates before reaching the receiver; best-effort frames
+are counted. A flow's gate and forward delay at each bridge are fixed for
+the run, so ``run`` builds each flow's hop chain once and walks it inline
+per frame; ``Bridge.step`` is the same one-hop rule, and the test oracle
+calls it.
 
 All times are integer nanoseconds (slot durations are integral for the
 supported frame sizes), so a noise-free scenario yields bit-identical
@@ -31,8 +38,8 @@ from itertools import islice
 from typing import NamedTuple, Optional
 
 from .clock import EphcClock
-from .errors import InsertError, InsufficientSamples, ValidationError
-from .insertion import InsertMode, OutboundPacket, target_counter, try_insert
+from .errors import InsufficientSamples, ValidationError
+from .insertion import InsertMode, OutboundPacket, target_counter
 from .ring import BEST_EFFORT, DmaRing, RingConfig, _new_record
 from .traffic import DEFAULT_RELEASE_DELTA, ServiceReport
 from .traffic import service  # noqa: F401  pacerbench's tracer wraps engine.service
@@ -41,8 +48,11 @@ from .traffic import service  # noqa: F401  pacerbench's tracer wraps engine.ser
 #: memory. NIC descriptor rings hold a few thousand at most.
 MAX_RING_SLOTS = 1 << 16
 #: Most slots one run may simulate (``duration`` over the slot wire time);
-#: ``run`` steps every slot, and each may carry a real-time frame.
+#: ``run`` steps every slot when the scenario has best-effort loads.
 MAX_RUN_SLOTS = 10**6
+#: Most real-time packets one run's flows may hand off, summed over the
+#: flows; ``run`` works out each one's slot or drop cause.
+MAX_RUN_PACKETS = 10**6
 
 
 @dataclass(frozen=True)
@@ -151,10 +161,20 @@ class Scenario:
             if not 0 <= pos < n:
                 raise ValidationError(f"ownership position {pos} outside ring of {n}")
         flow_ids = set()
+        packets = 0
         for f in self.flows:
             if f.flow_id in flow_ids:
                 raise ValidationError(f"two flows with flow_id {f.flow_id}")
             flow_ids.add(f.flow_id)
+            # len(range(f.phase, duration, f.period)), capped by f.count
+            instances = max(0, (self.duration - f.phase + f.period - 1) // f.period)
+            if f.count is not None and f.count < instances:
+                instances = f.count
+            packets += instances
+            if packets > MAX_RUN_PACKETS:
+                raise ValidationError(
+                    f"flow {f.flow_id} takes the run's real-time packets to {packets}, "
+                    f"over MAX_RUN_PACKETS ({MAX_RUN_PACKETS})")
         classes = {f.traffic_class for f in self.flows}
         if BEST_EFFORT in classes:
             raise ValidationError("real-time flows may not use the best-effort class")
@@ -230,21 +250,19 @@ def inter_arrival_jitter(times, period) -> tuple[float, float]:
 _ALWAYS_OPEN = GateWindow(0, 1, 1)
 
 
-def _build_ring(scenario: Scenario) -> DmaRing:
-    ownership = scenario.ownership
-    if ownership is None:
-        classes = sorted({f.traffic_class for f in scenario.flows})
-        classes += [load.traffic_class for load in scenario.be_loads]
-        if classes:
-            # Default layout: round-robin the sorted RT classes, then each
-            # best-effort load's class, over the ring.
-            ownership = {
-                pos: classes[pos % len(classes)]
-                for pos in range(scenario.ring.num_slots)
-            }
-        else:
-            ownership = {}
-    return DmaRing(scenario.ring, ownership=ownership)
+def _ownership(scenario: Scenario) -> dict:
+    """Slot position -> traffic class; a position it leaves out is BEST_EFFORT.
+
+    Without an explicit map, the default layout round-robins the sorted
+    real-time classes, then each best-effort load's class, over the ring.
+    """
+    if scenario.ownership is not None:
+        return scenario.ownership
+    classes = sorted({f.traffic_class for f in scenario.flows})
+    classes += [load.traffic_class for load in scenario.be_loads]
+    if not classes:
+        return {}
+    return {pos: classes[pos % len(classes)] for pos in range(scenario.ring.num_slots)}
 
 
 def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int) -> list:
@@ -281,26 +299,65 @@ def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int) -> li
 
 
 def run(scenario: Scenario) -> SimResult:
-    ring = _build_ring(scenario)
-    delta = int(ring.config.wire_time)  # integral: Scenario checks it
+    config = scenario.ring
+    delta = int(config.wire_time)  # integral: Scenario checks it
     steps = scenario.duration // delta
+    n = config.num_slots
+    batch = config.batch_size
+    slot_size = config.slot_size
     # The ring's clock: counter c goes on the wire at c * delta. Only
-    # try_insert reads it, to map a scheduled time to its counter.
+    # target_counter reads it, to map a scheduled time to its counter.
     clock = EphcClock(cycle_period=Fraction(delta))
-    mode = scenario.mode
+    relaxed = scenario.mode is InsertMode.RELAXED
+    ownership = _ownership(scenario)
+    owner_of = ownership.get
+    be_classes = {load.traffic_class for load in scenario.be_loads}
     report = ServiceReport()
-    due = _due_packets(scenario, clock, steps, ring.config.num_slots)
-    due.append((steps,))  # sentinel: never due
-    due_idx = 0
+
+    # Each packet's armed counter or drop cause, by try_insert's checks in
+    # its order; the module docstring says why the window, the ownership and
+    # the armed counters are all the ring state a packet can meet.
+    armed = {}  # counter -> OutboundPacket
+    cursor = {}  # class -> first counter the relaxed fallback has not ruled out
+    for at, _, _, _, _, pkt in _due_packets(scenario, clock, steps, n):
+        if pkt.payload_len > slot_size:
+            report._count_drop("PayloadTooLarge")
+            continue
+        cls = pkt.traffic_class
+        c = target_counter(clock, pkt.scheduled_time)
+        lo = at + 1 + batch
+        hi = at + 1 + n
+        if not lo <= c < hi:
+            cause = "OutOfWindow"
+        elif c in armed:
+            cause = "NotPlaceholder"
+        else:
+            owner = owner_of(c % n, BEST_EFFORT)
+            if owner == cls:
+                armed[c] = pkt
+                report.inserted_rt += 1
+                continue
+            if owner in be_classes and 0 < at and c < at + n:
+                cause = "NotPlaceholder"  # a load's frame is armed there
+            else:
+                cause = "OwnershipViolation"
+        if relaxed:
+            # The first counter of the class in the window that no packet
+            # has armed. Counters below the class's cursor were ruled out
+            # and stay so (arms are never undone), so each lookup resumes
+            # there: amortized O(1), as DmaRing's scan cursor.
+            c = max(cursor.get(cls, lo), lo)
+            while c < hi and (c in armed or owner_of(c % n, BEST_EFFORT) != cls):
+                c += 1
+            cursor[cls] = c
+            if c < hi:
+                armed[c] = pkt
+                report.inserted_rt += 1
+                continue
+            cause = "NoSlotAvailable"
+        report._count_drop(cause)
 
     records: list[PacketRecord] = []
-    be_payload = 0
-    be_frames = 0
-    # One packet per load, armed in every slot the load fills.
-    be_packets = [
-        OutboundPacket(flow_id=None, traffic_class=load.traffic_class,
-                       payload_len=load.payload_len)
-        for load in scenario.be_loads]
     propagation = scenario.propagation
     first_arrival = delta + propagation  # after the slot's start
     # Each flow's hops, (offset, width, cycle, forward delay + propagation,
@@ -313,39 +370,42 @@ def run(scenario: Scenario) -> SimResult:
         for i, bridge in enumerate(scenario.bridges)
         for g in (bridge.gates.get(f.flow_id, _ALWAYS_OPEN),))
         for f in scenario.flows}
-    transmit_slot = ring.transmit_slot
-    fill_placeholders = ring.fill_placeholders
+    # Counter c goes on the wire during slot c; arms at or past `steps` never do.
+    for c in sorted(armed):
+        if c >= steps:
+            break
+        pkt = armed[c]
+        flow_id = pkt.flow_id
+        now = c * delta
+        arrival = now + first_arrival
+        for offset, width, cycle, hop_delay, i in chains[flow_id]:
+            rel = (arrival - offset) % cycle
+            if rel >= width:
+                arrival += cycle - rel  # held for its gate window
+                misses_by_bridge[i] += 1
+            arrival += hop_delay
+        records.append(_new_record(PacketRecord, (
+            flow_id, pkt.seq, pkt.scheduled_time, now, arrival)))
 
-    for step in range(steps):
-        now = step * delta
-        # The NIC transmits the frame at counter `step` during this slot.
-        frame = transmit_slot()
-        if frame is not None:
-            # Only fill_placeholders arms a frame with no scheduled time.
-            if frame.scheduled_time is None:
+    # Best-effort loads: the ring, stepped slot by slot, carries only their
+    # frames. Each load has one packet, armed in every slot the load fills.
+    be_payload = 0
+    be_frames = 0
+    if scenario.be_loads:
+        ring = DmaRing(config, ownership=ownership)
+        be_packets = [
+            OutboundPacket(flow_id=None, traffic_class=load.traffic_class,
+                           payload_len=load.payload_len)
+            for load in scenario.be_loads]
+        transmit_slot = ring.transmit_slot
+        fill_placeholders = ring.fill_placeholders
+        for _ in range(steps):
+            frame = transmit_slot()
+            if frame is not None:
                 be_payload += frame.payload_len
                 be_frames += 1
-            else:
-                flow_id = frame.flow_id
-                arrival = now + first_arrival
-                for offset, width, cycle, hop_delay, i in chains[flow_id]:
-                    rel = (arrival - offset) % cycle
-                    if rel >= width:
-                        arrival += cycle - rel  # held for its gate window
-                        misses_by_bridge[i] += 1
-                    arrival += hop_delay
-                records.append(_new_record(PacketRecord, (
-                    flow_id, frame.seq, frame.scheduled_time, now, arrival)))
-
-        while due[due_idx][0] <= step:
-            try:
-                try_insert(ring, due[due_idx][5], clock, mode)
-                report.inserted_rt += 1
-            except InsertError as exc:
-                report._count_drop(type(exc).__name__)
-            due_idx += 1
-        for pkt in be_packets:
-            report.inserted_be += fill_placeholders(pkt)
+            for pkt in be_packets:
+                report.inserted_be += fill_placeholders(pkt)
 
     return SimResult(
         records=records,

@@ -24,6 +24,8 @@ from .errors import DegenerateInterval, ServoDiverged
 
 #: Gap between the slave receiving sync and sending its delay request, ns.
 TURNAROUND_NS = 30_000
+#: Most rounds one study may run; a study keeps a trace entry per round.
+MAX_ROUNDS = 100_000
 
 
 @dataclass
@@ -70,6 +72,8 @@ class PtpConfig:
             raise ValueError("network_delay must be >= 0")
         if self.filter_window < 1:
             raise ValueError("filter_window must be >= 1")
+        if self.rounds > MAX_ROUNDS:
+            raise ValueError(f"rounds {self.rounds} exceeds MAX_ROUNDS ({MAX_ROUNDS})")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
 

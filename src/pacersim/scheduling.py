@@ -25,6 +25,10 @@ from typing import Optional
 from .errors import Overflow, ParseError, ValidationError
 
 MAX_TIME_NS = 2**63 - 1
+#: Most instances per utilization point, and most ring slots, that
+#: ``sweep_schedulability`` accepts; it generates every instance up front.
+MAX_SWEEP_INSTANCES = 10_000
+MAX_SWEEP_SLOTS = 4096
 
 
 @dataclass(frozen=True)
@@ -399,6 +403,12 @@ def sweep_schedulability(
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    if instances_per_point > MAX_SWEEP_INSTANCES:
+        raise ValidationError(f"instances_per_point {instances_per_point} exceeds "
+                              f"MAX_SWEEP_INSTANCES ({MAX_SWEEP_INSTANCES})")
+    if num_slots > MAX_SWEEP_SLOTS:
+        raise ValidationError(
+            f"num_slots {num_slots} exceeds MAX_SWEEP_SLOTS ({MAX_SWEEP_SLOTS})")
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(jobs, cpus)

@@ -241,6 +241,9 @@ class TestCli:
         # Work past the documented caps, refused before any is done.
         ("simulate", "back_to_back.yaml", ("ring", "num_slots"), 10**30),
         ("simulate", "back_to_back.yaml", ("duration",), 10**30),
+        # One packet per ns: about 2,000,000 hand-offs on 833 slots.
+        ("simulate", "back_to_back.yaml", ("flows", 0, "period"), 1),
+        ("ptp-study", "ptp_defaults.yaml", ("rounds",), 100_001),
     ])
     def test_malformed_config_exit_2(self, tmp_path, command, name, path, value):
         cfg = tmp_path / "bad.json"
@@ -304,6 +307,18 @@ class TestCli:
         res = self.run_cli("sweep-schedulability", str(cfg), "--out", str(out), *flag)
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and "jobs" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["instances_per_point", "num_slots"])
+    def test_sweep_size_capped_exit_2(self, tmp_path, key):
+        # No utilization points, so nothing but the check could stop a run.
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(f"kind: sweep\nutilizations: []\n{key}: {10**30}\n")
+        out = tmp_path / "sweep.csv"
+        res = self.run_cli("sweep-schedulability", str(cfg), "--out", str(out))
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and key in res.output
+        assert isinstance(res.exception, SystemExit)
         assert not out.exists()
 
     def test_unknown_flag_exit_2(self):

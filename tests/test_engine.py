@@ -17,7 +17,8 @@ from pacersim import (
     run,
 )
 from pacersim.engine import (
-    _build_ring,
+    MAX_RUN_PACKETS,
+    _ownership,
     read_metrics_csv,
     write_metrics_csv,
     write_summary_csv,
@@ -301,6 +302,27 @@ class TestValidation:
         with pytest.raises(ValidationError, match="duration"):
             dataclasses.replace(s, duration=10**30)
 
+    def test_run_packets_capped(self):
+        # One packet per ns over 2 ms: 2,000,000 hand-offs on 833 slots.
+        flood = FlowDef(flow_id=7, traffic_class=RT, period=1, phase=0, payload_len=64)
+        with pytest.raises(ValidationError, match="flow 7 .*MAX_RUN_PACKETS"):
+            base_scenario(flows=[flood])
+        # The instances are counted from the phase and capped by count.
+        base_scenario(flows=[dataclasses.replace(flood, count=MAX_RUN_PACKETS)])
+        base_scenario(flows=[dataclasses.replace(
+            flood, phase=2_000_000 - MAX_RUN_PACKETS)])
+        late = dataclasses.replace(flood, phase=2_000_000 - MAX_RUN_PACKETS - 1)
+        with pytest.raises(ValidationError, match="flow 7"):
+            base_scenario(flows=[late])
+        # The message names the flow whose packets cross the cap.
+        half = dataclasses.replace(flood, flow_id=1, count=MAX_RUN_PACKETS // 2)
+        over = dataclasses.replace(half, flow_id=2, count=half.count + 1)
+        with pytest.raises(ValidationError, match="flow 2 "):
+            base_scenario(flows=[half, over, dataclasses.replace(half, flow_id=3)])
+        s = base_scenario(flows=[dataclasses.replace(flood, period=2)])
+        with pytest.raises(ValidationError, match="flow 7"):
+            dataclasses.replace(s, duration=2_000_002)
+
     def test_duplicate_flow_ids_rejected(self):
         # Records and gates are keyed by flow_id, so two flows sharing one
         # would be merged into one flow's metrics and one gate.
@@ -351,5 +373,5 @@ class TestBestEffortLoads:
         flows = [FlowDef(flow_id=i, traffic_class=c, period=4096, phase=0,
                          payload_len=64, count=0) for i, c in ((1, 3), (2, 1))]
         sc = self.scenario(flows=flows, be_loads=[BeLoad(4, 64), BeLoad(0, 64)])
-        ring = _build_ring(sc)
-        assert [ring.owner_of(c) for c in range(8)] == [1, 3, 4, 0] * 2
+        ownership = _ownership(sc)
+        assert [ownership[c] for c in range(8)] == [1, 3, 4, 0] * 2

@@ -9,10 +9,14 @@ Each load's queue is refilled with a new packet per free entry. It moves a
 frame through each bridge with ``Bridge.step`` and counts a gate miss, in
 total and per bridge, at each hop whose departure is not the arrival plus
 the bridge's forward delay.
-``engine.run`` uses no queue and no ``service``: it makes a slot one
-``transmit_slot`` call, inserts the real-time packets due in the slot with
-``try_insert`` in an order one sort works out per run, fills best-effort
-placeholders in one pass per load, and walks each flow's hop chain inline.
+``engine.run`` uses no queue, no ``service`` and no ``try_insert``: it works
+out each real-time packet's armed counter or drop cause by arithmetic, from
+the insertion window after its due slot (one sort gives the due order), the
+slot ownership and the counters already armed, and emits the armed packets
+in counter order, walking each flow's hop chain inline. Only when the
+scenario has best-effort loads does it step a ring, ``transmit_slot`` and
+one ``fill_placeholders`` pass per load per slot, which carries only the
+loads' frames.
 For up to three loads, of any classes that no real-time flow uses, they must
 agree on every result and on the exception raised, drop counts and per-bridge
 misses included.
@@ -280,3 +284,65 @@ class TestAgainstPerSlotLoop:
         assert seen >= {"hand-off before slot 0", "hand-off before its release time",
                         "hand-off after the run", "one flow's hand-offs in one slot",
                         "held past its hand-off slot"}
+
+
+class TestClosedFormEdgeRules:
+    """Cases the closed form must place exactly as the per-slot loop does.
+
+    300 B slots (2400 ns) and batch 1, so a packet due after slot ``at``
+    sees the window [at + 2, at + 1 + N).
+    """
+
+    DELTA = 2400
+
+    def scenario(self, targets, handoff_slot, n=4, mode=InsertMode.STRICT,
+                 be_loads=(BeLoad(traffic_class=0, payload_len=100),)):
+        # One class-1 packet per target counter, each handed off at the start
+        # of slot `at` = handoff_slot and so due once that slot is sent.
+        # Class 1 owns the even positions and class 0 the odd ones.
+        flows = [FlowDef(flow_id=i, traffic_class=1, period=10**6,
+                         phase=c * self.DELTA, payload_len=64, count=1,
+                         late_by={0: handoff_slot * self.DELTA - c * self.DELTA})
+                 for i, c in enumerate(targets, 1)]
+        return Scenario(
+            ring=RingConfig(num_slots=n, slot_size=300, batch_size=1),
+            duration=30 * self.DELTA, flows=flows, be_loads=list(be_loads),
+            release_delta=0, mode=mode,
+            ownership={pos: (1, 0)[pos % 2] for pos in range(n)})
+
+    def check(self, scenario, causes):
+        got = new_run(scenario)
+        assert got == reference_run(scenario)
+        assert got[1].drop_causes == causes
+        return got[0]
+
+    def test_load_counter_at_slot_zero_is_unowned(self):
+        # Counter 3 (class 0) is in the window [2, 5) after slot 0, before
+        # any fill has armed a load frame.
+        self.check(self.scenario([3], 0), {"OwnershipViolation": 1})
+
+    def test_load_counter_filled_later_is_armed(self):
+        # After slot 5 the window is [7, 10); the fill after slot 4 armed
+        # counter 7, which class 0 owns.
+        self.check(self.scenario([7], 5), {"NotPlaceholder": 1})
+
+    def test_load_counter_at_window_top_is_unowned(self):
+        # Counter 9 = at + N enters the window after slot 5, before its fill.
+        self.check(self.scenario([9], 5), {"OwnershipViolation": 1})
+
+    def test_unowned_counter_without_a_load(self):
+        self.check(self.scenario([7], 5, be_loads=()), {"OwnershipViolation": 1})
+
+    def test_two_packets_on_one_counter(self):
+        records = self.check(self.scenario([8, 8], 5), {"NotPlaceholder": 1})
+        assert [(r.flow_id, r.send_time) for r in records] == [(1, 8 * self.DELTA)]
+
+    def test_relaxed_fallback_skips_armed_counters(self):
+        # N = 8: after slot 5 the window
+        # [7, 14) holds class-1 counters 8, 10 and 12. The first packet arms
+        # its target 10; the others fall back to the earliest unarmed one.
+        records = self.check(self.scenario([10, 10, 10, 10], 5, n=8,
+                                           mode=InsertMode.RELAXED),
+                             {"NoSlotAvailable": 1})
+        assert [(r.flow_id, r.send_time // self.DELTA) for r in records] == \
+            [(2, 8), (1, 10), (3, 12)]

@@ -143,6 +143,14 @@ class TestServo:
         mean = lambda xs: sum(abs(x) for x in xs) / len(xs)
         assert mean(raw.drift_error[1:]) > mean(filt.drift_error[1:])
 
+    def test_rounds_capped(self):
+        from pacersim import ptp
+
+        PtpConfig(rounds=ptp.MAX_ROUNDS)
+        for rounds in (ptp.MAX_ROUNDS + 1, 10**30):
+            with pytest.raises(ValueError, match="rounds"):
+                PtpConfig(rounds=rounds)
+
     def test_deterministic(self):
         cfg = PtpConfig(rounds=100, rng_seed=3)
         a = run_sync_sim(cfg, DEFAULT, filtered=True)

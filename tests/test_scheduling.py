@@ -23,6 +23,7 @@ from pacersim import (
     utilization,
     validate,
 )
+from pacersim import scheduling
 from pacersim.errors import Overflow, ParseError, ValidationError
 from pacersim.scheduling import (
     instance_to_text,
@@ -229,6 +230,16 @@ class TestSweepJobs:
         with pytest.raises(ValidationError, match="jobs"):
             sweep_schedulability(jobs=jobs, **self.SMALL)
         assert pool.created == []
+
+    @pytest.mark.parametrize("key, cap", [("instances_per_point", "MAX_SWEEP_INSTANCES"),
+                                          ("num_slots", "MAX_SWEEP_SLOTS")])
+    def test_sweep_size_capped(self, pool, key, cap):
+        # With no utilization points the sweep would do no work at all.
+        limit = getattr(scheduling, cap)
+        assert sweep_schedulability([], **{key: limit}) == []
+        for value in (limit + 1, 10**30):
+            with pytest.raises(ValidationError, match=key):
+                sweep_schedulability([], **{key: value})
 
     def test_workers_capped_at_usable_cpus(self, pool, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
