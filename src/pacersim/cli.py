@@ -93,7 +93,8 @@ def ptp_study(config_path, out_dir, seed, unfiltered):
     worst = max(abs(e) for e in trace.offset_error)
     click.echo(f"rounds={len(trace.offset_error)} "
                f"worst_offset_error_ns={worst:.1f} "
-               f"convergence_round={trace.convergence_round}")
+               f"convergence_round={trace.convergence_round} "
+               f"den_bits={trace.den_bits}")
 
 
 @main.command()

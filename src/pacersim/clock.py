@@ -12,10 +12,10 @@ error over billions of ticks, yet the hot methods normalise no rational per
 call: ``int``, ``float`` and ``Fraction`` arguments enter through
 ``as_integer_ratio()`` and are rescaled to the common denominator only when
 it is not already a multiple of theirs. A rate change snaps the new period to
-a 1/grid lattice in the same step, so ``_den`` grows only by the
-denominators of offsets and set times (powers of two for floats) and stays
-bounded over long servo runs without a gcd. ``time_at`` gives an exact,
-unreduced reading as a (numerator, denominator) pair.
+a 1/grid lattice in the same step (``snap_to_grid``, which the ptp servo
+shares), so ``_den`` grows only by the denominators of offsets and set times
+(powers of two for floats) and stays bounded over long servo runs without a
+gcd.
 """
 
 from __future__ import annotations
@@ -43,6 +43,23 @@ def _round_div(n: int, d: int) -> int:
     if n >= 0:
         return (2 * n + d) // (2 * d)
     return -((d - 2 * n) // (2 * d))
+
+
+def snap_to_grid(num: int, den: int) -> int:
+    """num / den (den > 0) rounded to the nearest integer, ties to even.
+
+    This is the period-snapping rule of a rate change: with the clock's
+    denominator ``dg * grid``, ``snap_to_grid(p * a, dg * b)`` is the new
+    period in 1/grid units after scaling ``p`` by ``a / b``. Raises
+    ValueError when that period would not be positive.
+    """
+    q, r = divmod(num, den)
+    r *= 2
+    if r > den or (r == den and q & 1):
+        q += 1
+    if q <= 0:
+        raise ValueError("adjusted cycle_period must be > 0")
+    return q
 
 
 class EphcClock:
@@ -82,10 +99,6 @@ class EphcClock:
     def __repr__(self):
         return (f"EphcClock(cycle_period={self.cycle_period!r}, "
                 f"offset={self.offset!r}, cycle_count={self.cycle_count!r})")
-
-    def time_at(self, count: int) -> tuple[int, int]:
-        """Exact reading at counter ``count`` as an unreduced (num, den)."""
-        return count * self._p + self._o, self._den
 
     def now_exact(self) -> Union[int, Fraction]:
         n = self.cycle_count * self._p + self._o
@@ -131,18 +144,11 @@ class EphcClock:
         if grid < 1:
             raise ValueError("grid must be >= 1")
         self._rescale(grid)
-        den = self._den
+        dg = self._den // grid
         p = self._p
-        db = den * b
-        q, r = divmod(p * a * grid, db)
-        r *= 2
-        if r > db or (r == db and q & 1):
-            q += 1
-        if q <= 0:
-            raise ValueError("adjusted cycle_period must be > 0")
         # Scaling then snapping moves the offset by count * (P - Q/grid):
         # the 1/b of the intermediate period cancels.
-        p_new = q * (den // grid)
+        p_new = snap_to_grid(p * a, dg * b) * dg
         self._o += self.cycle_count * (p - p_new)
         self._p = p_new
         return self

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clock import EphcClock
+from .clock import snap_to_grid
 from .errors import DegenerateInterval, ServoDiverged
 
 #: Gap between the slave receiving sync and sending its delay request, ns.
@@ -70,6 +70,9 @@ class PtpConfig:
             raise ValueError(f"sync_interval must be >= {TURNAROUND_NS}")
         if self.network_delay < 0:
             raise ValueError("network_delay must be >= 0")
+        # The slave period is 1 + ppm / 1e6 ns, which must be positive.
+        if not -1_000_000 < self.initial_freq_offset_ppm < math.inf:
+            raise ValueError("initial_freq_offset_ppm must be a finite number > -1000000")
         if self.filter_window < 1:
             raise ValueError("filter_window must be >= 1")
         if self.rounds > MAX_ROUNDS:
@@ -155,6 +158,9 @@ class SyncTrace:
     drift_error: list = field(default_factory=list)  # offset drift per interval
     freq_ratio: list = field(default_factory=list)  # rate correction applied
     convergence_round: Optional[int] = None
+    #: Bit length of the servo clock's denominator at the end of the run;
+    #: it never shrinks, so this is also the run's maximum.
+    den_bits: int = 0
 
     def rows(self):
         for k in range(len(self.true_offset)):
@@ -194,11 +200,21 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
     span-ratio estimate. Raises ServoDiverged, naming the round, when a rate
     correction cannot be applied: the ratio is not a positive finite number,
     or the period it gives snaps to zero on the grid.
+
+    The slave's exact state is EphcClock's, held in local integers: it reads
+    ``(count * p + o) / den`` at counter ``count``, and ``den`` is a multiple
+    of PERIOD_GRID from the start, so a rate step snaps the period with
+    ``snap_to_grid`` and no rescaling. Every reading is a correctly rounded
+    float of the exact rational, so the trace does not depend on how the
+    numerators are scaled.
     """
     rng = np.random.default_rng(config.rng_seed)
-    slave = EphcClock(
-        cycle_period=1 + Fraction(config.initial_freq_offset_ppm) / 1_000_000
-    )
+    period = 1 + Fraction(config.initial_freq_offset_ppm) / 1_000_000
+    m = PERIOD_GRID // math.gcd(period.denominator, PERIOD_GRID)
+    p = period.numerator * m  # period numerator
+    o = 0  # offset numerator
+    den = period.denominator * m
+    dg = den // PERIOD_GRID
     interval = config.sync_interval
     d = config.network_delay
     gap = TURNAROUND_NS
@@ -224,28 +240,37 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
         t_recv = t_sync + d
 
         # The slave counter ticks once per true ns, so count == true time.
-        slave.tick(t_recv - slave.cycle_count)
         t1 = t_sync + e1
-        n, den = slave.time_at(t_recv)
+        n = t_recv * p + o
         t2 = n / den + e2
-        slave.tick(gap)
-        n, den = slave.time_at(t_recv + gap)
+        count = t_recv + gap
+        n += gap * p
         t3 = n / den + e3
-        t4 = t_sync + d + gap + d + e4
+        t4 = count + d + e4
 
         # S(t) - t over den; int / int is correctly rounded, as float(Fraction) is.
-        true_num = n - (t_recv + gap) * den
+        true_num = n - count * den
         true_off = true_num / den
         est = compute_offset(t1, t2, t3, t4)
+        err = est - true_off
         trace.true_offset.append(true_off)
-        trace.offset_error.append(est - true_off)
+        trace.offset_error.append(err)
         if prev_residual is None:
             trace.drift_error.append(0.0)
         else:
-            # Only tick() runs between the two readings, so den is unchanged.
+            # No offset or rate step runs between the two readings, so den
+            # is unchanged.
             trace.drift_error.append((true_num - prev_residual) / den)
 
-        slave.adjust_offset(-est)
+        # Offset step o -= est, over a den that is a multiple of est's.
+        a, b = est.as_integer_ratio()
+        if den % b:
+            m = b // math.gcd(den, b)
+            p *= m
+            o *= m
+            den *= m
+            dg *= m
+        o -= a * (den // b)
 
         ratio_applied = 1.0
         if prev_t1 is not None:
@@ -256,21 +281,26 @@ def run_sync_sim(config: PtpConfig, model: PtpErrorModel, filtered: bool) -> Syn
             )
             if not 0.0 < ratio_applied < math.inf:
                 raise ServoDiverged(k, ratio_applied)
+            # Rate step: scale p by a / b and snap it to the grid, keeping
+            # the reading at this count continuous.
+            a, b = ratio_applied.as_integer_ratio()
             try:
-                slave.adjust_rate(ratio_applied, PERIOD_GRID)
+                p_new = snap_to_grid(p * a, dg * b) * dg
             except ValueError as exc:
                 raise ServoDiverged(k, ratio_applied) from exc
+            o += count * (p - p_new)
+            p = p_new
         trace.freq_ratio.append(ratio_applied)
 
         prev_t1, prev_t2 = t1, t2
-        n, den = slave.time_at(t_recv)
-        prev_residual = n - t_recv * den
+        prev_residual = t_recv * (p - den) + o
 
-        if abs(trace.offset_error[-1]) <= 2 * dts:
+        if abs(err) <= 2 * dts:
             clean_streak += 1
             if clean_streak >= 10 and trace.convergence_round is None:
                 trace.convergence_round = k
         else:
             clean_streak = 0
 
+    trace.den_bits = den.bit_length()
     return trace

@@ -155,6 +155,7 @@ class TestCli:
         res = self.run_cli("ptp-study", str(cfg), "--out-dir", str(tmp_path))
         assert res.exit_code == 0, res.output
         assert (tmp_path / "ptp_trace.csv").exists()
+        assert "den_bits=" in res.output
 
     def test_ptp_study_diverged_exit_1(self, tmp_path):
         cfg = tmp_path / "ptp.yaml"
@@ -244,6 +245,8 @@ class TestCli:
         # One packet per ns: about 2,000,000 hand-offs on 833 slots.
         ("simulate", "back_to_back.yaml", ("flows", 0, "period"), 1),
         ("ptp-study", "ptp_defaults.yaml", ("rounds",), 100_001),
+        # A slave period of 1 + ppm / 1e6 = 0 ns.
+        ("ptp-study", "ptp_defaults.yaml", ("initial_freq_offset_ppm",), -1_000_000),
     ])
     def test_malformed_config_exit_2(self, tmp_path, command, name, path, value):
         cfg = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Two-way sync math, analytic error bounds, and the closed-loop servo."""
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacersim import (
-    EphcClock,
     PacersimError,
     PtpConfig,
     PtpErrorModel,
@@ -22,7 +22,7 @@ from pacersim import (
     run_sync_sim,
 )
 from pacersim.errors import DegenerateInterval, ServoDiverged
-from pacersim.ptp import TURNAROUND_NS, SyncTrace, sample_offset_errors
+from pacersim.ptp import PERIOD_GRID, TURNAROUND_NS, SyncTrace, sample_offset_errors
 
 ZERO = PtpErrorModel(0, 0, 0, 0, 0, 0)
 DEFAULT = PtpErrorModel(g_master=2400, g_slave=2400, j_master_in=1000,
@@ -151,6 +151,17 @@ class TestServo:
             with pytest.raises(ValueError, match="rounds"):
                 PtpConfig(rounds=rounds)
 
+    @pytest.mark.parametrize("ppm", [-1_000_000, -2_000_000, -1e300,
+                                     float("inf"), float("nan")])
+    def test_nonpositive_initial_period_rejected(self, ppm):
+        # The slave period is 1 + ppm / 1e6 ns.
+        with pytest.raises(ValueError, match="initial_freq_offset_ppm"):
+            PtpConfig(initial_freq_offset_ppm=ppm)
+
+    def test_near_zero_initial_period_runs(self):
+        cfg = PtpConfig(initial_freq_offset_ppm=-999_999.999, rounds=5)
+        assert len(run_sync_sim(cfg, ZERO, filtered=True).offset_error) == 5
+
     def test_deterministic(self):
         cfg = PtpConfig(rounds=100, rng_seed=3)
         a = run_sync_sim(cfg, DEFAULT, filtered=True)
@@ -274,27 +285,15 @@ class TestServoEquivalence:
         (DEFAULT, 100_000_000, -0.731),
         (HARDWARE, 10_000_000, 0.377),
     ], ids=["zero", "default", "hardware"])
-    def test_matches_fraction_oracle(self, model, interval, ppm, filtered, rounds,
-                                     monkeypatch):
-        # The clock's size after every rate step: one step per round after the
-        # first, and a denominator that does not grow with the round count.
-        den_bits = []
-        adjust_rate = EphcClock.adjust_rate
-
-        def watched(clock, ratio, grid):
-            adjust_rate(clock, ratio, grid)
-            den_bits.append(clock._den.bit_length())
-            return clock
-
-        monkeypatch.setattr(EphcClock, "adjust_rate", watched)
+    def test_matches_fraction_oracle(self, model, interval, ppm, filtered, rounds):
         cfg = PtpConfig(sync_interval=interval, network_delay=23_456,
                         initial_freq_offset_ppm=ppm, rounds=rounds, rng_seed=rounds + 7)
         got = run_sync_sim(cfg, model, filtered)
         want = oracle_sync_sim(cfg, model, filtered, SyncTrace())
         assert len(got.offset_error) == rounds
         assert _bits(got) == _bits(want)
-        assert len(den_bits) == max(rounds - 1, 0)
-        assert max(den_bits, default=0) <= 128
+        # The clock's denominator does not grow with the round count.
+        assert 0 < got.den_bits <= 128
 
     @pytest.mark.parametrize("model", [DEFAULT, HARDWARE])
     def test_window_one_matches_oracle(self, model):
@@ -302,6 +301,19 @@ class TestServoEquivalence:
         got = run_sync_sim(cfg, model, filtered=True)
         want = oracle_sync_sim(cfg, model, True, SyncTrace())
         assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_fine_first_estimate_matches_oracle(self, filtered):
+        # With 1e-20 ns of timestamp noise and no network delay, the first
+        # offset estimate has a finer denominator than the clock's, so the
+        # clock rescales before its first rate step.
+        cfg = PtpConfig(network_delay=0, initial_freq_offset_ppm=1e-11, rounds=20,
+                        rng_seed=1)
+        model = PtpErrorModel(g_master=1e-20, g_slave=1e-20)
+        got = run_sync_sim(cfg, model, filtered)
+        period = 1 + Fraction(cfg.initial_freq_offset_ppm) / 1_000_000
+        assert got.den_bits > math.lcm(period.denominator, PERIOD_GRID).bit_length()
+        assert _bits(got) == _bits(oracle_sync_sim(cfg, model, filtered, SyncTrace()))
 
     def test_divergence_in_the_oracle_round(self):
         # Software timestamps at a 1 ms interval, unfiltered: the rate
@@ -321,3 +333,33 @@ class TestServoEquivalence:
         ok = PtpConfig(sync_interval=1_000_000, rounds=err.round)
         assert _bits(run_sync_sim(ok, DEFAULT, filtered=False)) == \
             _bits(oracle_sync_sim(ok, DEFAULT, False, SyncTrace()))
+
+    @given(interval=st.integers(TURNAROUND_NS, 10**10),
+           delay=st.integers(0, 10**9),
+           ppm=st.floats(-1e6, 1e6, exclude_min=True, exclude_max=True),
+           window=st.integers(1, 12), rounds=st.integers(0, 40),
+           seed=st.integers(0, 2**32), filtered=st.booleans(),
+           errors=st.lists(st.one_of(st.just(0.0), st.floats(0, 16), st.floats(0, 1e7)),
+                           min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_any_study_matches_oracle(self, interval, delay, ppm, window, rounds,
+                                      seed, filtered, errors):
+        cfg = PtpConfig(sync_interval=interval, network_delay=delay,
+                        initial_freq_offset_ppm=ppm, filter_window=window,
+                        rounds=rounds, rng_seed=seed)
+        model = PtpErrorModel(*errors)
+        partial = SyncTrace()
+        try:
+            want = oracle_sync_sim(cfg, model, filtered, partial)
+        except (ArithmeticError, ValueError, PacersimError):
+            fail = len(partial.freq_ratio)
+            with pytest.raises(PacersimError) as ei:
+                run_sync_sim(cfg, model, filtered)
+            assert getattr(ei.value, "round", fail) == fail
+            ok = PtpConfig(sync_interval=interval, network_delay=delay,
+                           initial_freq_offset_ppm=ppm, filter_window=window,
+                           rounds=fail, rng_seed=seed)
+            assert _bits(run_sync_sim(ok, model, filtered)) == \
+                _bits(oracle_sync_sim(ok, model, filtered, SyncTrace()))
+        else:
+            assert _bits(run_sync_sim(cfg, model, filtered)) == _bits(want)
