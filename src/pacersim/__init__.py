@@ -1,6 +1,6 @@
 """Deterministic packet pacing: ring, clock, sync, scheduling and simulation."""
 
-from .clock import DualClock, EphcClock, MergeAction, merge_estimate, time_to_slot
+from .clock import DualClock, EphcClock, MergeAction, merge_estimate
 from .engine import (
     BeLoad,
     Bridge,

@@ -154,18 +154,6 @@ class EphcClock:
         return self
 
 
-def time_to_slot(t: TimeLike, delta: TimeLike, num_slots: int) -> int:
-    """Ring slot that a transmission starting at time ``t`` occupies."""
-    if num_slots < 1:
-        raise ValueError("num_slots must be >= 1")
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return int(Fraction(t) / delta) % num_slots
-
-
 class MergeAction(Enum):
     NONE = "none"
     SET_TX_TO_RX = "set_tx_to_rx"

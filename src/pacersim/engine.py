@@ -1,9 +1,15 @@
 """Discrete-event simulation of a paced ring feeding a switched network.
 
-A real-time packet's wire time is its ring counter times the slot time, so
-``run`` places real-time packets by arithmetic instead of stepping slots.
-One sort per run gives each packet its due slot ``at`` and its place among
-the packets due there (``_due_packets``). After slot ``at`` is sent the
+A real-time packet's wire time is its ring counter times the slot time
+``delta``, so ``run`` places real-time packets by integer arithmetic instead
+of stepping slots or building a clock: a packet scheduled at ``t >= 0``
+targets counter ``t // delta`` (the floor), and one scheduled before 0
+targets -1, below every insertion window, as ``insertion.target_counter``
+reads the ring's clock, whose offset is 0. A packet is a plain tuple of its
+times, its instance number and its ``FlowDef``, and an armed counter maps
+to ``(flow_id, seq, scheduled time)``; no ``OutboundPacket`` is built for
+it. One sort per run gives each packet its due slot ``at`` and its place
+among the packets due there (``_due_packets``). After slot ``at`` is sent the
 insertion window is ``[at + 1 + batch, at + 1 + N)``, and the only ring
 state a packet can meet in it is the earlier real-time arms and the
 best-effort fills, which by then hold every counter a load's class owns
@@ -11,11 +17,13 @@ below ``at + N`` (none before slot 0's fill). So a walk over the due list
 with a map of armed counters and the slot ownership gives each packet its
 counter or the drop cause ``insertion.try_insert`` would raise, in the same
 order of checks; relaxed mode falls back to the class's first unarmed
-counter in the window. Armed counters below the run's slot count go on the
-wire in counter order. Only a scenario with saturating best-effort loads
-builds a ``DmaRing``: one ``transmit_slot`` call per slot and one
-``fill_placeholders`` pass per load, which arms the load's one packet in
-every placeholder its class owns in the window, carry the loads' frames.
+counter in the window. Each drop is counted by cause in the report and by
+flow and cause in ``SimResult.drops_by_flow``. Armed counters below the
+run's slot count go on the wire in counter order. Only a scenario with
+saturating best-effort loads builds a ``DmaRing``: one ``transmit_slot``
+call per slot and one ``fill_placeholders`` pass per load, which arms the
+load's one packet in every placeholder its class owns in the window, carry
+the loads' frames.
 Real-time frames then traverse an optional chain of store-and-forward
 bridges with time gates before reaching the receiver; best-effort frames
 are counted. A flow's gate and forward delay at each bridge are fixed for
@@ -33,13 +41,11 @@ from __future__ import annotations
 import csv
 import statistics
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .clock import EphcClock
 from .errors import InsufficientSamples, ValidationError
-from .insertion import InsertMode, OutboundPacket, target_counter
+from .insertion import InsertMode, OutboundPacket
 from .ring import BEST_EFFORT, DmaRing, RingConfig, _new_record
 from .traffic import DEFAULT_RELEASE_DELTA, ServiceReport
 from .traffic import service  # noqa: F401  pacerbench's tracer wraps engine.service
@@ -206,6 +212,7 @@ class PacketRecord(NamedTuple):
 class SimResult:
     records: list  # PacketRecord, wire order
     report: ServiceReport
+    drops_by_flow: dict  # flow_id -> {cause: n}, summing to report.drop_causes
     misses_by_bridge: list  # gate misses at each bridge, in bridge order
     be_payload_bytes: int
     be_frames: int
@@ -265,35 +272,37 @@ def _ownership(scenario: Scenario) -> dict:
     return {pos: classes[pos % len(classes)] for pos in range(scenario.ring.num_slots)}
 
 
-def _due_packets(scenario: Scenario, clock: EphcClock, steps: int, n: int) -> list:
-    """(due slot, scheduled time, hand-off, k, index, packet) in insertion order.
+def _due_packets(scenario: Scenario, delta: int, steps: int, n: int) -> list:
+    """(due slot, scheduled time, hand-off, k, index, flow) in insertion order.
 
-    A packet is handed off in the first slot starting at or after its
-    hand-off time (slot 0 if that is at or before 0), and is due there unless
-    a negative ``late_by`` hands it off before its release time: then it waits
-    until that time, or until its counter enters the insertion window, whose
-    top after slot ``s`` is ``s + 1 + N``. One sort puts the packets earliest
-    deadline first within a slot, ties in hand-off order.
+    A packet is instance ``k`` of its ``FlowDef``, scheduled at ``sched``. It
+    is handed off in the first slot starting at or after its hand-off time
+    (slot 0 if that is at or before 0), and is due there unless a negative
+    ``late_by`` hands it off before its release time: then it waits until
+    that time, or until its counter ``sched // delta`` (-1 for a negative
+    ``sched``) enters the insertion window, whose top after slot ``s`` is
+    ``s + 1 + N``. One sort puts the packets earliest deadline first within
+    a slot, ties in hand-off order. ``index`` is the flow's place in
+    ``scenario.flows``: ``k`` already orders one flow's packets, so the
+    sort keeps the creation order of packets that tie and never compares
+    two flows.
     """
-    delta = int(clock.cycle_period)
     release_delta = scenario.release_delta
     due = []
-    for f in scenario.flows:
+    for index, f in enumerate(scenario.flows):
+        late_by = f.late_by
         for k, sched in enumerate(islice(range(f.phase, scenario.duration, f.period),
                                          f.count)):
-            handoff = max(0, sched - release_delta) + f.late_by.get(k, 0)
+            release = sched - release_delta
+            handoff = release if release > 0 else 0
+            if late_by:
+                handoff += late_by.get(k, 0)
             at = -(-handoff // delta) if handoff > 0 else 0  # hand-off slot
-            if at >= steps:
-                continue  # handed off after the last slot
-            if handoff < sched - release_delta:
-                release = -(-(sched - release_delta) // delta)
-                at = max(at, min(release, target_counter(clock, sched) - n))
-            if at < steps:
-                # The frame carries its per-flow instance number as its seq;
-                # ties on (handoff, k) fall back to creation order.
-                # Positional: the keyword form costs twice as much per packet.
-                due.append((at, sched, handoff, k, len(due), OutboundPacket(
-                    f.flow_id, f.traffic_class, f.payload_len, sched, k)))
+            if handoff < release:
+                c = sched // delta if sched >= 0 else -1
+                at = max(at, min(-(-release // delta), c - n))
+            if at < steps:  # else handed off after the last slot
+                due.append((at, sched, handoff, k, index, f))
     due.sort()
     return due
 
@@ -305,26 +314,29 @@ def run(scenario: Scenario) -> SimResult:
     n = config.num_slots
     batch = config.batch_size
     slot_size = config.slot_size
-    # The ring's clock: counter c goes on the wire at c * delta. Only
-    # target_counter reads it, to map a scheduled time to its counter.
-    clock = EphcClock(cycle_period=Fraction(delta))
     relaxed = scenario.mode is InsertMode.RELAXED
     ownership = _ownership(scenario)
     owner_of = ownership.get
     be_classes = {load.traffic_class for load in scenario.be_loads}
     report = ServiceReport()
+    drops_by_flow = {}  # flow_id -> {cause: n}
+
+    def count_drop(flow_id, cause):
+        report._count_drop(cause)
+        flow_drops = drops_by_flow.setdefault(flow_id, {})
+        flow_drops[cause] = flow_drops.get(cause, 0) + 1
 
     # Each packet's armed counter or drop cause, by try_insert's checks in
     # its order; the module docstring says why the window, the ownership and
     # the armed counters are all the ring state a packet can meet.
-    armed = {}  # counter -> OutboundPacket
+    armed = {}  # counter -> (flow_id, seq, scheduled time)
     cursor = {}  # class -> first counter the relaxed fallback has not ruled out
-    for at, _, _, _, _, pkt in _due_packets(scenario, clock, steps, n):
-        if pkt.payload_len > slot_size:
-            report._count_drop("PayloadTooLarge")
+    for at, sched, _, k, _, f in _due_packets(scenario, delta, steps, n):
+        if f.payload_len > slot_size:
+            count_drop(f.flow_id, "PayloadTooLarge")
             continue
-        cls = pkt.traffic_class
-        c = target_counter(clock, pkt.scheduled_time)
+        cls = f.traffic_class
+        c = sched // delta if sched >= 0 else -1  # counter c is sent at c * delta
         lo = at + 1 + batch
         hi = at + 1 + n
         if not lo <= c < hi:
@@ -334,8 +346,7 @@ def run(scenario: Scenario) -> SimResult:
         else:
             owner = owner_of(c % n, BEST_EFFORT)
             if owner == cls:
-                armed[c] = pkt
-                report.inserted_rt += 1
+                armed[c] = (f.flow_id, k, sched)
                 continue
             if owner in be_classes and 0 < at and c < at + n:
                 cause = "NotPlaceholder"  # a load's frame is armed there
@@ -351,11 +362,11 @@ def run(scenario: Scenario) -> SimResult:
                 c += 1
             cursor[cls] = c
             if c < hi:
-                armed[c] = pkt
-                report.inserted_rt += 1
+                armed[c] = (f.flow_id, k, sched)
                 continue
             cause = "NoSlotAvailable"
-        report._count_drop(cause)
+        count_drop(f.flow_id, cause)
+    report.inserted_rt = len(armed)  # arms are never undone
 
     records: list[PacketRecord] = []
     propagation = scenario.propagation
@@ -374,8 +385,7 @@ def run(scenario: Scenario) -> SimResult:
     for c in sorted(armed):
         if c >= steps:
             break
-        pkt = armed[c]
-        flow_id = pkt.flow_id
+        flow_id, seq, sched = armed[c]
         now = c * delta
         arrival = now + first_arrival
         for offset, width, cycle, hop_delay, i in chains[flow_id]:
@@ -385,7 +395,7 @@ def run(scenario: Scenario) -> SimResult:
                 misses_by_bridge[i] += 1
             arrival += hop_delay
         records.append(_new_record(PacketRecord, (
-            flow_id, pkt.seq, pkt.scheduled_time, now, arrival)))
+            flow_id, seq, sched, now, arrival)))
 
     # Best-effort loads: the ring, stepped slot by slot, carries only their
     # frames. Each load has one packet, armed in every slot the load fills.
@@ -410,6 +420,7 @@ def run(scenario: Scenario) -> SimResult:
     return SimResult(
         records=records,
         report=report,
+        drops_by_flow=drops_by_flow,
         misses_by_bridge=misses_by_bridge,
         be_payload_bytes=be_payload,
         be_frames=be_frames,
@@ -457,7 +468,8 @@ def _format_drops(causes: dict) -> str:
 
 
 def write_summary_csv(result: SimResult, path) -> None:
-    flows = sorted({r.flow_id for r in result.records})
+    """One row per flow with a delivered or dropped packet, then ``__all__``."""
+    flows = sorted({r.flow_id for r in result.records} | result.drops_by_flow.keys())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(SUMMARY_FIELDS)
@@ -474,6 +486,7 @@ def write_summary_csv(result: SimResult, path) -> None:
             else:
                 jit = 0.0
             mean = sum(delays) / len(delays) if delays else 0.0
-            w.writerow([fid, len(delays), repr(mean), repr(stddev), repr(jit), ""])
+            w.writerow([fid, len(delays), repr(mean), repr(stddev), repr(jit),
+                        _format_drops(result.drops_by_flow.get(fid, {}))])
         w.writerow(["__all__", len(result.records), "", "", "",
                     _format_drops(result.report.drop_causes)])

@@ -42,6 +42,13 @@ class PtpErrorModel:
                      "j_slave_in", "j_slave_out"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        # numpy's uniform draw raises OverflowError on a range whose width is
+        # not finite; each width is a granularity plus a jitter.
+        for (lo, hi), stamp, terms in zip(self.error_ranges(), ("t1", "t2", "t3", "t4"),
+                                          ("g_master + j_master_out", "g_slave + j_slave_in",
+                                           "g_slave + j_slave_out", "g_master + j_master_in")):
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"{stamp} draw width {terms} must be finite, got {hi - lo}")
 
     def error_ranges(self):
         """Uniform draw ranges (lo, hi) for the four timestamps t1..t4."""

@@ -13,7 +13,6 @@ from pacersim import (
     MergeAction,
     merge_estimate,
     target_counter,
-    time_to_slot,
 )
 
 
@@ -78,13 +77,6 @@ class TestAdjust:
         c.adjust_rate(Fraction(num, den), den)
         assert c.cycle_period == Fraction(2400 * num, den)
         assert c.now_exact() == before
-
-
-class TestTimeToSlot:
-    def test_examples(self):
-        assert time_to_slot(0, 10_000, 32) == 0
-        assert time_to_slot(1_230_000, 10_000, 32) == 27
-        assert time_to_slot(32 * 10_000, 10_000, 32) == 0
 
 
 class TestMerge:

@@ -186,6 +186,19 @@ class TestCli:
         assert isinstance(res.exception, SystemExit)
         assert not (tmp_path / "ptp_trace.csv").exists()
 
+    def test_ptp_study_overflowing_error_model_exit_2(self, tmp_path):
+        # Finite terms whose sum, t1's draw width, is not: numpy's uniform
+        # draw would end in OverflowError.
+        cfg = tmp_path / "ptp.json"
+        cfg.write_text(json.dumps({"kind": "ptp", "rounds": 5, "error_model": {
+            "g_master": 1e308, "j_master_in": 1e308, "j_master_out": 1e308}}))
+        out = tmp_path / "out"
+        res = self.run_cli("ptp-study", str(cfg), "--out-dir", str(out))
+        assert res.exit_code == 2, res.output
+        assert "error: ptp.error_model:" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert not out.exists()
+
     def test_ptp_study_shortest_sync_interval_runs(self, tmp_path):
         cfg = tmp_path / "ptp.yaml"
         cfg.write_text("kind: ptp\nsync_interval: 30000\nrounds: 20\n")

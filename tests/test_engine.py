@@ -1,5 +1,6 @@
 """End-to-end engine: determinism, metrics, gates, and isolation."""
 
+import csv
 import dataclasses
 import math
 
@@ -231,6 +232,25 @@ class TestCsv:
         text = p.read_text()
         assert text.startswith("flow_id,count,mean_delay_ns,pdv_ns,jitter_ns")
         assert "__all__" in text
+
+
+    def test_summary_drops_by_flow(self, tmp_path):
+        # Flow 3's instance 2 is handed off after its slot is sent; every
+        # frame of flow 4 is larger than the 300 B slot, so it has no record.
+        flows = [FlowDef(flow_id=3, traffic_class=RT, period=19_200, phase=38_400,
+                         payload_len=200, late_by={2: 40_000}),
+                 FlowDef(flow_id=4, traffic_class=RT, period=192_000, phase=40_800,
+                         payload_len=400, count=3)]
+        res = run(base_scenario(flows=flows))
+        assert res.drops_by_flow == {3: {"OutOfWindow": 1}, 4: {"PayloadTooLarge": 3}}
+        p = tmp_path / "summary.csv"
+        write_summary_csv(res, p)
+        with open(p, newline="") as fh:
+            rows = {row["flow_id"]: row for row in csv.DictReader(fh)}
+        assert list(rows) == ["3", "4", "__all__"]
+        assert rows["3"]["drops_by_cause"] == "OutOfWindow=1"
+        assert (rows["4"]["count"], rows["4"]["drops_by_cause"]) == ("0", "PayloadTooLarge=3")
+        assert rows["__all__"]["drops_by_cause"] == "OutOfWindow=1;PayloadTooLarge=3"
 
 
 class TestValidation:

@@ -22,6 +22,7 @@ agree on every result and on the exception raised, drop counts and per-bridge
 misses included.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -210,6 +211,24 @@ def random_scenario(seed):
         ownership=ownership)
 
 
+def negative_phase_scenario(seed):
+    """``random_scenario(seed)`` with every flow's first instance scheduled
+    before time 0 and some hand-offs moved earlier, drawn from a stream of
+    its own so that ``random_scenario``'s seeds keep their scenarios."""
+    scenario = random_scenario(seed)
+    rng = random.Random(f"negative phase {seed}")
+    delta = int(scenario.ring.wire_time)
+    flows = []
+    for f in scenario.flows:
+        # Whole slots before 0 and less than one slot before it.
+        phase = -rng.choice([rng.randint(1, 12) * delta, rng.randint(1, delta - 1)])
+        late = dict(f.late_by)
+        for _ in range(rng.randint(0, 3)):
+            late[rng.randint(0, 8)] = rng.randint(-16, -1) * delta - rng.randint(0, delta)
+        flows.append(dataclasses.replace(f, phase=phase, late_by=late))
+    return dataclasses.replace(scenario, flows=flows)
+
+
 def handoff_cases(scenario):
     """The unusual hand-offs among the scenario's packets."""
     delta = int(scenario.ring.wire_time)
@@ -221,6 +240,10 @@ def handoff_cases(scenario):
             if f.count is not None and k >= f.count:
                 break
             handoff = max(0, sched - release_delta) + f.late_by.get(k, 0)
+            if sched < 0:
+                cases.add("scheduled before 0")
+                if handoff < sched - release_delta:
+                    cases.add("scheduled before 0, hand-off before its release time")
             if handoff < 0:
                 cases.add("hand-off before slot 0")
             elif handoff < sched - release_delta:
@@ -239,6 +262,28 @@ class TestAgainstPerSlotLoop:
     def test_random_scenarios(self, seed):
         assert outcome(new_run, random_scenario(seed)) == \
             outcome(reference_run, random_scenario(seed))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_negative_phases(self, seed):
+        # A scheduled time below 0 maps to counter -1, never in the window.
+        assert outcome(new_run, negative_phase_scenario(seed)) == \
+            outcome(reference_run, negative_phase_scenario(seed))
+
+    def test_negative_phase_sweep_reaches_every_case(self):
+        causes, seen = set(), set()
+        for seed in range(150):
+            scenario = negative_phase_scenario(seed)
+            got = outcome(new_run, scenario)
+            assert got == outcome(reference_run, scenario), seed
+            seen |= handoff_cases(scenario)
+            seen.add(("mode", scenario.mode))
+            if not isinstance(got, type):
+                causes |= set(got[1].drop_causes)
+        assert seen >= {"scheduled before 0",
+                        "scheduled before 0, hand-off before its release time",
+                        ("mode", InsertMode.STRICT), ("mode", InsertMode.RELAXED)}
+        assert "OutOfWindow" in causes
 
     def test_sweep_reaches_every_case(self):
         # A fixed sweep that must reach every drop cause, an oversize
@@ -284,6 +329,21 @@ class TestAgainstPerSlotLoop:
         assert seen >= {"hand-off before slot 0", "hand-off before its release time",
                         "hand-off after the run", "one flow's hand-offs in one slot",
                         "held past its hand-off slot"}
+
+
+class TestDropsByFlow:
+    def test_flow_counts_sum_to_causes(self):
+        # The sweep's scenarios reach every drop cause.
+        for seed in range(400):
+            scenario = random_scenario(seed)
+            res = run(scenario)
+            total = {}
+            for flow_id, causes in res.drops_by_flow.items():
+                assert flow_id in {f.flow_id for f in scenario.flows}, seed
+                for cause, count in causes.items():
+                    assert count > 0, seed
+                    total[cause] = total.get(cause, 0) + count
+            assert total == res.report.drop_causes, seed
 
 
 class TestClosedFormEdgeRules:
@@ -346,3 +406,18 @@ class TestClosedFormEdgeRules:
                              {"NoSlotAvailable": 1})
         assert [(r.flow_id, r.send_time // self.DELTA) for r in records] == \
             [(2, 8), (1, 10), (3, 12)]
+
+    def test_negative_phase_drops_early_instances(self):
+        # Instances k = 0-2 are scheduled before 0, at counter -1; k = 1 is
+        # also handed off a slot before its release time. With a release
+        # lead of 3 slots, instances 0-4 are all due at slot 0, whose window
+        # [2, 5) holds neither -1 nor counters 0 and 1 (k = 3, 4). Instance k
+        # >= 5 goes out at counter k - 3.
+        d = self.DELTA
+        flows = [FlowDef(flow_id=1, traffic_class=1, period=d, phase=-3 * d,
+                         payload_len=64, late_by={1: -6 * d})]
+        scenario = Scenario(ring=RingConfig(num_slots=4, slot_size=300, batch_size=1),
+                            duration=10 * d, flows=flows, release_delta=3 * d)
+        records = self.check(scenario, {"OutOfWindow": 5})
+        assert [(r.seq, r.send_time // d) for r in records] == \
+            [(k, k - 3) for k in range(5, 13)]

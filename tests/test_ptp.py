@@ -158,6 +158,24 @@ class TestServo:
         with pytest.raises(ValueError, match="initial_freq_offset_ppm"):
             PtpConfig(initial_freq_offset_ppm=ppm)
 
+    @pytest.mark.parametrize("kw, term", [
+        # Each term finite, but t1's width g_master + j_master_out overflows.
+        (dict(g_master=1e308, j_master_in=1e308, j_master_out=1e308), "g_master"),
+        (dict(g_slave=1e308, j_slave_out=1e308), "j_slave_out"),
+        (dict(j_slave_in=float("inf")), "j_slave_in"),
+        (dict(g_master=float("nan")), "g_master"),
+    ])
+    def test_unbounded_draw_width_rejected(self, kw, term):
+        # numpy's uniform draw raises OverflowError on a range whose width is
+        # not finite, so such a model is refused where it is built.
+        with pytest.raises(ValueError, match=term):
+            PtpErrorModel(**kw)
+
+    def test_largest_finite_widths_run(self):
+        model = PtpErrorModel(g_master=1e308, g_slave=1e308)
+        trace = run_sync_sim(PtpConfig(rounds=5), model, filtered=True)
+        assert len(trace.offset_error) == 5
+
     def test_near_zero_initial_period_runs(self):
         cfg = PtpConfig(initial_freq_offset_ppm=-999_999.999, rounds=5)
         assert len(run_sync_sim(cfg, ZERO, filtered=True).offset_error) == 5
